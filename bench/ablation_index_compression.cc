@@ -70,10 +70,11 @@ int main(int argc, char** argv) {
       auto entries = make_entries(n_writers, n_per, 64_KiB, segmented);
       Cell c;
       c.raw = entries.size();
-      const BTreeIndex uncompressed = BTreeIndex::build(entries, /*compress=*/false);
-      const BTreeIndex compressed = BTreeIndex::build(std::move(entries), /*compress=*/true);
+      // The patterns never overlap, so the uncompressed index would hold
+      // exactly one mapping per entry.
+      c.raw_bytes = entries.size() * IndexEntry::kSerializedSize;
+      const FlatIndex compressed = FlatIndex::build(std::move(entries));
       c.mappings = compressed.mapping_count();
-      c.raw_bytes = uncompressed.serialized_bytes();
       c.compressed_bytes = compressed.serialized_bytes();
       c.v2_bytes = compressed.serialized_bytes(WireFormat::v2);
       cells[i] = c;

@@ -60,21 +60,6 @@ inline std::vector<int> sweep(int from, int max) {
   return out;
 }
 
-// Shared --index_backend flag (btree|flat|pattern) for the figure harnesses.
-inline std::string* add_index_backend_flag(FlagSet& flags) {
-  return flags.add_string("index_backend", "flat", "global index backend: btree|flat|pattern");
-}
-
-// Flag-value -> IndexBackend; exits with a usage message on bad input.
-inline plfs::IndexBackend index_backend_or_die(const std::string& name) {
-  plfs::IndexBackend backend = plfs::IndexBackend::flat;
-  if (!plfs::parse_index_backend(name, backend)) {
-    std::fprintf(stderr, "unknown --index_backend (want btree|flat|pattern): %s\n", name.c_str());
-    std::exit(1);
-  }
-  return backend;
-}
-
 // Shared --index_wire flag (v1|v2) selecting the index wire codec.
 inline std::string* add_index_wire_flag(FlagSet& flags) {
   return flags.add_string("index_wire", "v2", "index wire format: v1|v2 (pattern-compressed)");

@@ -45,14 +45,12 @@ struct TopoOpts {
 };
 
 Row run_streams(int streams, std::uint64_t per_proc, std::uint64_t record,
-                plfs::IndexBackend backend, plfs::WireFormat wire, const pfs::FaultPlan& plan,
-                const TopoOpts& topo) {
+                plfs::WireFormat wire, const pfs::FaultPlan& plan, const TopoOpts& topo) {
   Row row{};
   row.streams = streams;
   const OpGen ops = strided_ops(per_proc, record);
-  auto rig_opts = [backend, wire, &plan, &topo] {
+  auto rig_opts = [wire, &plan, &topo] {
     testbed::Rig::Options o = bench::lanl_rig();
-    o.index_backend = backend;
     o.index_wire = wire;
     o.fault_plan = plan;
     o.cluster.topology = topo.kind;
@@ -120,7 +118,6 @@ int main(int argc, char** argv) {
   auto* max_streams = flags.add_i64("max-streams", 1024, "largest concurrent stream count (paper: 2048)");
   auto* per_proc_mib = flags.add_i64("per-proc-mib", 16, "MiB per stream (paper: 50 MB)");
   auto* record_kib = flags.add_i64("record-kib", 16, "record size KiB (paper: ~50 KB; 1024 records/stream)");
-  auto* backend_name = bench::add_index_backend_flag(flags);
   auto* wire_name = bench::add_index_wire_flag(flags);
   auto* plan_spec = bench::add_fault_plan_flag(flags);
   const bench::TopologyFlags topo_flags = bench::add_topology_flags(flags);
@@ -136,7 +133,6 @@ int main(int argc, char** argv) {
   bench::start_trace(*trace_path);
   const std::uint64_t per_proc = static_cast<std::uint64_t>(*per_proc_mib) << 20;
   const std::uint64_t record = static_cast<std::uint64_t>(*record_kib) << 10;
-  const plfs::IndexBackend backend = bench::index_backend_or_die(*backend_name);
   const plfs::WireFormat wire = bench::index_wire_or_die(*wire_name);
   const pfs::FaultPlan plan = bench::fault_plan_or_die(*plan_spec);
   TopoOpts topo;
@@ -157,8 +153,8 @@ int main(int argc, char** argv) {
   std::vector<Row> rows(stream_counts.size());
   sim::ShardPool pool(shards);
   for (std::size_t i = 0; i < stream_counts.size(); ++i) {
-    pool.submit([&rows, &stream_counts, i, per_proc, record, backend, wire, &plan, &topo] {
-      rows[i] = run_streams(stream_counts[i], per_proc, record, backend, wire, plan, topo);
+    pool.submit([&rows, &stream_counts, i, per_proc, record, wire, &plan, &topo] {
+      rows[i] = run_streams(stream_counts[i], per_proc, record, wire, plan, topo);
     });
   }
   pool.run_all();
@@ -210,13 +206,12 @@ int main(int argc, char** argv) {
     std::fprintf(f, "{\n  \"bench\": \"fig4_read_scaling\",\n");
     std::fprintf(f,
                  "  \"config\": {\"max_streams\": %lld, \"per_proc_mib\": %lld, "
-                 "\"record_kib\": %lld, \"index_backend\": \"%s\", \"index_wire\": \"%s\", "
+                 "\"record_kib\": %lld, \"index_wire\": \"%s\", "
                  "\"fault_plan\": \"%s\", \"topology\": \"%s\", \"racks\": %zu, "
                  "\"oversubscription\": %s, \"rack_groups\": %s, \"shards\": %zu},\n",
                  static_cast<long long>(*max_streams), static_cast<long long>(*per_proc_mib),
-                 static_cast<long long>(*record_kib), plfs::index_backend_name(backend).c_str(),
-                 plfs::wire_format_name(wire).c_str(), plan_spec->c_str(),
-                 net::topology_kind_name(topo.kind).c_str(), topo.racks,
+                 static_cast<long long>(*record_kib), plfs::wire_format_name(wire).c_str(),
+                 plan_spec->c_str(), net::topology_kind_name(topo.kind).c_str(), topo.racks,
                  json_double(topo.oversubscription, 2).c_str(),
                  topo.rack_groups ? "true" : "false", shards);
     std::fprintf(f, "  \"rows\": [");

@@ -19,7 +19,6 @@ int main(int argc, char** argv) {
   auto* max_read_procs = flags.add_i64("max-read-procs", 65536, "largest read job (fig 8a)");
   auto* max_meta_procs = flags.add_i64("max-meta-procs", 32768, "largest storm (figs 8b-d)");
   auto* per_proc_mib = flags.add_i64("per-proc-mib", 4, "MiB per process for fig 8a");
-  auto* backend_name = bench::add_index_backend_flag(flags);
   auto* wire_name = bench::add_index_wire_flag(flags);
   auto* plan_spec = bench::add_fault_plan_flag(flags);
   const bench::TopologyFlags topo_flags = bench::add_topology_flags(flags);
@@ -33,7 +32,6 @@ int main(int argc, char** argv) {
   bench::start_trace(*trace_path);
   const std::uint64_t per_proc = static_cast<std::uint64_t>(*per_proc_mib) << 20;
   const std::uint64_t record = 256_KiB;
-  const plfs::IndexBackend backend = bench::index_backend_or_die(*backend_name);
   const plfs::WireFormat wire = bench::index_wire_or_die(*wire_name);
   const pfs::FaultPlan plan = bench::fault_plan_or_die(*plan_spec);
   // Validate against the Cielo geometry, then thread the resolved preset
@@ -74,7 +72,6 @@ int main(int argc, char** argv) {
   // --- 8a: read bandwidth ---
   const auto read_bw = [&, per_proc, record](int n, Access access, bool strided) {
     testbed::Rig::Options opts = bench::cielo_rig(10);
-    opts.index_backend = backend;
     opts.index_wire = wire;
     opts.fault_plan = plan;
     apply_topo(opts);
@@ -214,11 +211,11 @@ int main(int argc, char** argv) {
     std::fprintf(f, "{\n  \"bench\": \"fig8_large_scale\",\n");
     std::fprintf(f,
                  "  \"config\": {\"max_read_procs\": %lld, \"max_meta_procs\": %lld, "
-                 "\"per_proc_mib\": %lld, \"index_backend\": \"%s\", \"index_wire\": \"%s\", "
+                 "\"per_proc_mib\": %lld, \"index_wire\": \"%s\", "
                  "\"fault_plan\": \"%s\", \"shards\": %zu},\n",
                  static_cast<long long>(*max_read_procs), static_cast<long long>(*max_meta_procs),
-                 static_cast<long long>(*per_proc_mib), plfs::index_backend_name(backend).c_str(),
-                 plfs::wire_format_name(wire).c_str(), plan_spec->c_str(), shards);
+                 static_cast<long long>(*per_proc_mib), plfs::wire_format_name(wire).c_str(),
+                 plan_spec->c_str(), shards);
     std::fprintf(f, "  \"fig8a_read_bw_mbps\": [");
     for (std::size_t i = 0; i < read_rows.size(); ++i) {
       const auto& r = read_rows[i];

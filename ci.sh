@@ -20,7 +20,7 @@ cmake --build --preset asan -j "$jobs"
 
 echo "==> index differential + cache + wire-codec tests under ASan/UBSan"
 ctest --preset asan -j "$jobs" -R \
-  'IndexDiff|IndexCache|BTreeIndex|IndexProperty|Varint|WireV2|WireCompat|PatternIndex'
+  'IndexDiff|IndexCache|BTreeIndex|IndexProperty|Varint|WireV2|WireCompat'
 
 # DeepAwaitChains is excluded: gcc does not tail-call the coroutine
 # symmetric transfer at -O0, so the 100k-deep chain overflows the stack in
@@ -74,10 +74,6 @@ echo "==> fig7 under the stress fault plan must exit clean"
 echo "==> fig7 with the raft-replicated MDS must survive the stress plan"
 ./build/bench/fig7_metadata_nn --procs 64 --max-files 2048 --fault_plan=stress \
   --mds_replication=raft >/dev/null
-
-echo "==> pattern index backend exercised through the build microbench"
-./build/bench/micro_index --index_backend=pattern \
-  --benchmark_filter='BM_GlobalBuildMergePattern/10000' >/dev/null
 
 echo "==> v1 -> v2 wire-format compat smoke"
 # Both wire settings must drive the full fig4 pipeline (write, flatten,
@@ -259,5 +255,8 @@ python3 tools/check_trace.py "$out/fig4_trace_s4.json" --expect-shards=4
 
 echo "==> checked-in bench result files must parse and summarize"
 python3 tools/bench_report.py
+
+echo "==> repo benchmark harness self-test"
+python3 perfbench/test_perfbench.py
 
 echo "==> ci.sh: all green"

@@ -7,30 +7,19 @@
 // index — with overlaps resolved by timestamp (PLFS defers write resolution
 // from write time to read time; the paper's note 1).
 //
-// The queryable global index is split into an abstract read-side interface
-// (IndexView) and two implementations:
+// The queryable global index is FlatIndex: a sorted flat vector of
+// non-overlapping mappings with binary-search lookup. It is built by an
+// offset-domain sweep over a timestamp-ordered entry run (see
+// index_builder.h for the streaming k-way merge that produces such runs),
+// which avoids per-entry node-based map mutations entirely.
 //
-//   * BTreeIndex — the original eager interval map (std::map keyed by
-//     logical offset). Entries are inserted in timestamp order with
-//     splitting and compression. Kept as the correctness oracle and as the
-//     faithful "Original PLFS Design" cost model.
-//   * FlatIndex  — a sorted flat vector of non-overlapping mappings with
-//     binary-search lookup. Built by an offset-domain sweep over a
-//     timestamp-ordered entry run (see index_builder.h for the streaming
-//     k-way merge that produces such runs), which avoids per-entry
-//     node-based map mutations entirely.
-//   * PatternIndex (pattern.h) — the same resolved mapping set stored as
-//     arithmetic pattern runs plus a literal spill, answering lookups by
-//     arithmetic instead of by materialized mappings.
-//
-// All implementations perform entry compression: adjacent mappings from
-// the same writer that are contiguous both logically and physically
-// collapse into one, so well-behaved sequential/strided patterns have tiny
-// indices.
+// Building performs entry compression: adjacent mappings from the same
+// writer that are contiguous both logically and physically collapse into
+// one, so well-behaved sequential/segmented patterns have tiny indices.
+// (Pattern compression of strided runs lives in the wire codec, pattern.h.)
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "common/dataview.h"
@@ -68,9 +57,9 @@ void append_serialized(std::vector<std::byte>& out, const IndexEntry& entry);
 // or truncated logs must be rejected, not silently absorbed.
 Result<std::vector<IndexEntry>> deserialize_entries(const FragmentList& data);
 
-// Read-side interface of the aggregated global index. Implementations are
-// immutable once built; readers share them via shared_ptr.
-class IndexView {
+// The aggregated global index. Immutable once built; readers share it via
+// shared_ptr (IndexPtr, index_builder.h).
+class FlatIndex {
  public:
   struct Mapping {
     std::uint64_t logical_offset;
@@ -80,15 +69,19 @@ class IndexView {
     friend bool operator==(const Mapping&, const Mapping&) = default;
   };
 
-  virtual ~IndexView() = default;
+  // `sorted` must be in entry_timestamp_less order (later-wins last); use
+  // IndexBuilder to merge per-writer runs into that order cheaply.
+  static FlatIndex from_sorted(const std::vector<IndexEntry>& sorted);
+  // Convenience for unordered pools: sorts, then delegates to from_sorted.
+  static FlatIndex build(std::vector<IndexEntry> entries);
 
   // Mappings covering [offset, offset+len), clipped, in logical order.
   // Unwritten gaps are simply absent from the result (they read as zeros).
-  virtual std::vector<Mapping> lookup(std::uint64_t offset, std::uint64_t len) const = 0;
+  std::vector<Mapping> lookup(std::uint64_t offset, std::uint64_t len) const;
 
   // One past the highest written logical byte.
-  virtual std::uint64_t logical_size() const = 0;
-  virtual std::size_t mapping_count() const = 0;
+  std::uint64_t logical_size() const;
+  std::size_t mapping_count() const { return mappings_.size(); }
 
   // Re-serializes the (compressed) index for broadcast/flatten costing and
   // for the flattened global index file.
@@ -103,77 +96,21 @@ class IndexView {
   // strictly increase, and the mappings are disjoint anyway), makes the
   // output a valid timestamp-sorted run for IndexBuilder, and turns the
   // field into an arithmetic sequence the pattern codec can compress.
-  virtual std::vector<IndexEntry> to_entries() const = 0;
+  std::vector<IndexEntry> to_entries() const;
 
   // Fixed-record (wire v1) size; still the definition of "index volume" for
   // the compression-ratio counters.
   std::uint64_t serialized_bytes() const { return mapping_count() * IndexEntry::kSerializedSize; }
   // Size under a specific wire format. v2 runs the pattern encoder once and
-  // caches the result (views are immutable after build).
+  // caches the result (the index is immutable after build).
   std::uint64_t serialized_bytes(WireFormat wire) const;
 
   // Approximate host-memory footprint, used by the IndexCache byte budget.
-  virtual std::uint64_t memory_bytes() const = 0;
-
- private:
-  mutable std::uint64_t wire_v2_bytes_ = 0;  // 0 = not yet computed
-};
-
-// Offset-domain sweep shared by FlatIndex and PatternIndex: resolves a
-// timestamp-ordered entry run (entry_timestamp_less order, later-wins last)
-// into the canonical non-overlapping mapping set, sorted by logical offset
-// and (when `compress`) maximally merged.
-std::vector<IndexView::Mapping> resolve_sorted_entries(const std::vector<IndexEntry>& sorted,
-                                                       bool compress);
-
-// The original map-based index: O(E log E) re-sort of the entry pool plus a
-// node-based map insert per entry. The correctness oracle.
-class BTreeIndex final : public IndexView {
- public:
-  // Builds from an unordered entry pool: sorts by timestamp (ties by writer)
-  // so that later writes win, then inserts with splitting + compression.
-  // `compress` exists for the ablation bench; production callers leave it on.
-  static BTreeIndex build(std::vector<IndexEntry> entries, bool compress = true);
-  // Same insertion pipeline minus the sort, for entries already in
-  // timestamp order (e.g. the output of IndexBuilder::merged_run).
-  static BTreeIndex from_sorted(const std::vector<IndexEntry>& sorted, bool compress = true);
-
-  std::vector<Mapping> lookup(std::uint64_t offset, std::uint64_t len) const override;
-  std::uint64_t logical_size() const override;
-  std::size_t mapping_count() const override { return map_.size(); }
-  std::vector<IndexEntry> to_entries() const override;
-  std::uint64_t memory_bytes() const override {
-    // Mapping payload plus typical red-black node overhead.
-    return map_.size() * (sizeof(std::pair<std::uint64_t, Mapping>) + 48);
-  }
-
- private:
-  void insert(const IndexEntry& e, bool compress);
-  // key = logical offset; entries non-overlapping.
-  std::map<std::uint64_t, Mapping> map_;
-};
-
-// Flat-vector index: non-overlapping mappings sorted by logical offset,
-// looked up by binary search. Building is a sweep over offset-domain
-// boundaries with a lazy-deletion max-heap of live entries — everything is
-// contiguous vectors, no node allocations, which is where the build speedup
-// over BTreeIndex comes from.
-class FlatIndex final : public IndexView {
- public:
-  // `sorted` must be in entry_timestamp_less order (later-wins last); use
-  // IndexBuilder to merge per-writer runs into that order cheaply.
-  static FlatIndex from_sorted(const std::vector<IndexEntry>& sorted, bool compress = true);
-  // Convenience for unordered pools: sorts, then delegates to from_sorted.
-  static FlatIndex build(std::vector<IndexEntry> entries, bool compress = true);
-
-  std::vector<Mapping> lookup(std::uint64_t offset, std::uint64_t len) const override;
-  std::uint64_t logical_size() const override;
-  std::size_t mapping_count() const override { return mappings_.size(); }
-  std::vector<IndexEntry> to_entries() const override;
-  std::uint64_t memory_bytes() const override { return mappings_.capacity() * sizeof(Mapping); }
+  std::uint64_t memory_bytes() const { return mappings_.capacity() * sizeof(Mapping); }
 
  private:
   std::vector<Mapping> mappings_;  // sorted by logical_offset, non-overlapping
+  mutable std::uint64_t wire_v2_bytes_ = 0;  // 0 = not yet computed
 };
 
 }  // namespace tio::plfs

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <string>
 #include <utility>
 
 #include "common/crc32c.h"
@@ -91,18 +92,7 @@ std::vector<IndexEntry> IndexBuilder::merged_run() const {
 IndexPtr IndexBuilder::build() const {
   const std::vector<IndexEntry> run = merged_run();
   const std::int64_t t0 = host_now_ns();
-  IndexPtr built;
-  switch (backend_) {
-    case IndexBackend::btree:
-      built = std::make_shared<const BTreeIndex>(BTreeIndex::from_sorted(run, compress_));
-      break;
-    case IndexBackend::flat:
-      built = std::make_shared<const FlatIndex>(FlatIndex::from_sorted(run, compress_));
-      break;
-    case IndexBackend::pattern:
-      built = std::make_shared<const PatternIndex>(PatternIndex::from_sorted(run, compress_));
-      break;
-  }
+  IndexPtr built = std::make_shared<const FlatIndex>(FlatIndex::from_sorted(run));
   static Counter& builds = counter("plfs.index.builds");
   static Counter& build_ns = counter("plfs.index.build_ns");
   builds.add(1);
@@ -155,31 +145,6 @@ Result<std::vector<IndexEntry>> deserialize_trailed_entries(const FragmentList& 
   if (!entries.ok()) return entries.status();
   if (entries->size() != count) return bad("record count mismatch", base + 4);
   return entries;
-}
-
-bool parse_index_backend(std::string_view name, IndexBackend& out) {
-  if (name == "btree") {
-    out = IndexBackend::btree;
-    return true;
-  }
-  if (name == "flat") {
-    out = IndexBackend::flat;
-    return true;
-  }
-  if (name == "pattern") {
-    out = IndexBackend::pattern;
-    return true;
-  }
-  return false;
-}
-
-std::string index_backend_name(IndexBackend backend) {
-  switch (backend) {
-    case IndexBackend::btree: return "btree";
-    case IndexBackend::flat: return "flat";
-    case IndexBackend::pattern: return "pattern";
-  }
-  return "unknown";
 }
 
 }  // namespace tio::plfs

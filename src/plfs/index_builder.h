@@ -4,22 +4,20 @@
 // are appended as its writes happen), so the global timestamp order is a
 // k-way merge of k sorted runs — O(E log K) — rather than the original
 // design's O(E log E) re-sort of the concatenated pool. IndexBuilder holds
-// runs without copying them, merges lazily, and builds whichever IndexView
-// backend the mount asks for. Aggregation trees compose naturally: a group
-// leader's merged run is itself a sorted run for the next level up.
+// runs without copying them, merges lazily, and builds the FlatIndex.
+// Aggregation trees compose naturally: a group leader's merged run is
+// itself a sorted run for the next level up.
 //
 // Host-side build effort is reported through common/stats counters:
 //   plfs.index.builds          completed build() calls
 //   plfs.index.runs_merged     input runs consumed by merges
 //   plfs.index.entries_merged  entries that passed through a merge
 //   plfs.index.build_ns        host wall-clock ns spent in merge+build
-// (Simulated time is charged by the callers via index_cpu_per_entry and is
-// identical across backends.)
+// (Simulated time is charged by the callers via index_cpu_per_entry, per
+// entry, independent of how the index is held in host memory.)
 #pragma once
 
 #include <memory>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "plfs/index.h"
@@ -27,13 +25,10 @@
 
 namespace tio::plfs {
 
-using IndexPtr = std::shared_ptr<const IndexView>;
+using IndexPtr = std::shared_ptr<const FlatIndex>;
 
 class IndexBuilder {
  public:
-  explicit IndexBuilder(IndexBackend backend = IndexBackend::flat, bool compress = true)
-      : backend_(backend), compress_(compress) {}
-
   // Adds one timestamp-sorted run without copying. Runs that turn out not to
   // be sorted (defensive: e.g. a pool concatenated by an older peer) are
   // detected at merge time and sorted in a private copy.
@@ -48,12 +43,10 @@ class IndexBuilder {
   // Does not consume the builder; repeated calls re-merge.
   std::vector<IndexEntry> merged_run() const;
 
-  // Merges and builds the configured backend.
+  // Merges and builds the global index.
   IndexPtr build() const;
 
  private:
-  IndexBackend backend_;
-  bool compress_;
   std::size_t total_entries_ = 0;
   std::vector<std::shared_ptr<const std::vector<IndexEntry>>> runs_;
 };
@@ -82,11 +75,5 @@ std::vector<std::byte> serialize_entries_with_trailer(const std::vector<IndexEnt
 // Verifies magic/count/crc, then deserializes the records. Any integrity
 // failure is Errc::io_error with the failing byte offset in the message.
 Result<std::vector<IndexEntry>> deserialize_trailed_entries(const FragmentList& data);
-
-// "--index_backend" flag vocabulary: "btree" | "flat" | "pattern"
-// (case-sensitive). Returns false on unknown names, leaving `out`
-// untouched.
-bool parse_index_backend(std::string_view name, IndexBackend& out);
-std::string index_backend_name(IndexBackend backend);
 
 }  // namespace tio::plfs

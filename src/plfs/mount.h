@@ -16,13 +16,6 @@ enum class ReadStrategy {
   parallel_read,  // group-leader aggregation at open (the default)
 };
 
-// In-memory representation of the aggregated global index (see index.h).
-enum class IndexBackend {
-  btree,    // original eager std::map interval index (correctness oracle)
-  flat,     // sorted flat vector built by run merge + offset sweep
-  pattern,  // arithmetic pattern runs + literal spill (see pattern.h)
-};
-
 // On-wire encoding of index entry batches: per-writer index.<writer> logs,
 // the flattened global index payload, and the collective exchange volumes.
 enum class WireFormat : std::uint8_t {
@@ -83,11 +76,6 @@ struct PlfsMount {
   Duration index_cpu_per_entry = Duration::ns(1000);
 
   ReadStrategy default_strategy = ReadStrategy::parallel_read;
-
-  // Which IndexView implementation aggregation builds. Simulated costs are
-  // identical across backends (same entries processed); the backend changes
-  // host-side build/lookup complexity and memory only.
-  IndexBackend index_backend = IndexBackend::flat;
 
   // Wire encoding for everything index-shaped that hits a backend file or a
   // collective. v2 is self-describing (magic + version per segment), so

@@ -102,7 +102,7 @@ sim::Task<Result<IndexPtr>> aggregate_parallel(Plfs& plfs, mpi::Comm& comm,
 
   // 2. Each rank reads its disjoint share of the index logs and k-way
   // merges them (each log is a timestamp-sorted run) into one sorted run.
-  IndexBuilder my_runs(plfs.mount().index_backend);
+  IndexBuilder my_runs;
   for (std::size_t i = comm.rank(); i < shared_logs->size(); i += n) {
     auto entries = co_await plfs.read_index_log(ctx, logical, (*shared_logs)[i].path);
     if (!entries.ok()) co_return entries.status();
@@ -134,7 +134,7 @@ sim::Task<Result<IndexPtr>> aggregate_parallel(Plfs& plfs, mpi::Comm& comm,
   if (leader) {
     // Merge the group's member runs into one sorted run; sorted runs (not
     // raw pools) are what leaders exchange.
-    IndexBuilder group_builder(plfs.mount().index_backend);
+    IndexBuilder group_builder;
     for (auto& run : member_runs) group_builder.add_entries(std::move(run));
     auto group_run =
         std::make_shared<const std::vector<IndexEntry>>(group_builder.merged_run());
@@ -156,7 +156,7 @@ sim::Task<Result<IndexPtr>> aggregate_parallel(Plfs& plfs, mpi::Comm& comm,
     }
     exchange_span = trace::Span(comm.engine(), open_exchange_site(), ctx.rank);
     if (leaders.rank() == 0) {
-      IndexBuilder global_builder(plfs.mount().index_backend);
+      IndexBuilder global_builder;
       for (const auto& r : all_runs) global_builder.add_run(r);
       index = global_builder.build();
     }
@@ -235,7 +235,7 @@ sim::Task<Status> MpiFile::close_write(bool flatten) {
       if (comm_->rank() == 0) {
         trace::Span write_span(comm_->engine(), kWriteSite, comm_->global_rank());
         // Each writer's entry pool is already a timestamp-sorted run.
-        IndexBuilder builder(plfs_->mount().index_backend);
+        IndexBuilder builder;
         for (auto& p : pools) builder.add_entries(std::move(p));
         co_await comm_->engine().sleep(plfs_->mount().index_cpu_per_entry *
                                        static_cast<std::int64_t>(builder.total_entries()));

@@ -1,5 +1,4 @@
-// Pattern compression for the index pipeline (wire format v2) and the
-// PatternIndex backend.
+// Pattern compression for the index pipeline (wire format v2).
 //
 // Checkpoint workloads are structured: an N-1 strided writer emits
 // thousands of index entries that are one arithmetic progression in
@@ -79,15 +78,6 @@ struct PatternEntry {
   std::uint32_t writer = 0;
   std::int64_t timestamp_base = 0;
   std::int64_t timestamp_delta = 0;
-
-  IndexEntry expand(std::uint32_t i) const {
-    return IndexEntry{logical_start + static_cast<std::uint64_t>(i) * static_cast<std::uint64_t>(stride),
-                      record_len,
-                      physical_start + static_cast<std::uint64_t>(i) * record_len,
-                      timestamp_base + static_cast<std::int64_t>(i) * timestamp_delta,
-                      writer};
-  }
-  friend bool operator==(const PatternEntry&, const PatternEntry&) = default;
 };
 
 // A detected run plus its claim on stream positions.
@@ -133,34 +123,5 @@ Result<std::vector<IndexEntry>> decode_entries_v2(const std::byte* data, std::si
 // "--index_wire" flag vocabulary: "v1" | "v2".
 bool parse_wire_format(std::string_view name, WireFormat& out);
 std::string wire_format_name(WireFormat wire);
-
-// IndexView backend that keeps the resolved mapping set as pattern runs
-// plus a literal spill and answers lookup() by arithmetic. Same canonical
-// mapping set as FlatIndex/BTreeIndex (it is built from the same
-// offset-domain sweep), so lookups and to_entries() are bit-identical to
-// the oracle — only the in-memory representation (and therefore the
-// IndexCache charge) shrinks.
-class PatternIndex final : public IndexView {
- public:
-  static PatternIndex from_sorted(const std::vector<IndexEntry>& sorted, bool compress = true);
-  static PatternIndex build(std::vector<IndexEntry> entries, bool compress = true);
-
-  std::vector<Mapping> lookup(std::uint64_t offset, std::uint64_t len) const override;
-  std::uint64_t logical_size() const override { return logical_size_; }
-  std::size_t mapping_count() const override { return mapping_count_; }
-  std::vector<IndexEntry> to_entries() const override;
-  std::uint64_t memory_bytes() const override {
-    return runs_.capacity() * sizeof(PatternEntry) + literals_.capacity() * sizeof(Mapping);
-  }
-
-  std::size_t run_count() const { return runs_.size(); }
-  std::size_t literal_count() const { return literals_.size(); }
-
- private:
-  std::vector<PatternEntry> runs_;  // sorted by logical_start; strides > 0
-  std::vector<Mapping> literals_;   // sorted by logical_offset
-  std::uint64_t logical_size_ = 0;
-  std::size_t mapping_count_ = 0;
-};
 
 }  // namespace tio::plfs

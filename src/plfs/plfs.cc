@@ -571,7 +571,7 @@ sim::Task<Result<IndexPtr>> Plfs::build_index_serial(pfs::IoCtx ctx, std::string
   static const trace::SpanSite kMergeSite("plfs.open", "plfs.open.merge");
   trace::Span read_span(engine(), kReadSite, ctx.rank);
   TIO_CO_ASSIGN_OR_RETURN(std::vector<IndexLogRef> logs, co_await list_index_logs(ctx, logical));
-  IndexBuilder builder(mount_.index_backend);
+  IndexBuilder builder;
   for (const auto& log : logs) {
     TIO_CO_ASSIGN_OR_RETURN(std::shared_ptr<const std::vector<IndexEntry>> entries,
                             co_await read_index_log(ctx, logical, log.path));
@@ -618,13 +618,13 @@ sim::Task<Result<IndexPtr>> Plfs::read_global_index(pfs::IoCtx ctx, const std::s
   co_await engine().sleep(mount_.index_cpu_per_entry *
                           static_cast<std::int64_t>(cached->size()));
   // The flattened file's records are already non-overlapping; one run.
-  IndexBuilder builder(mount_.index_backend);
+  IndexBuilder builder;
   builder.add_run(std::move(cached));
   co_return builder.build();
 }
 
 sim::Task<Status> Plfs::write_global_index(pfs::IoCtx ctx, const std::string& logical,
-                                           const IndexView& index) {
+                                           const FlatIndex& index) {
   ContainerLayout lay = layout(logical);
   cache_.invalidate(path_normalize(logical));  // cached global-index log is stale
   const std::string path = lay.global_index_path();

@@ -69,7 +69,7 @@ class Plfs {
   // Flattened global index file (written at close by Index Flatten).
   sim::Task<Result<IndexPtr>> read_global_index(pfs::IoCtx ctx, const std::string& logical);
   sim::Task<Status> write_global_index(pfs::IoCtx ctx, const std::string& logical,
-                                       const IndexView& index);
+                                       const FlatIndex& index);
 
   // --- logical namespace operations ---
   sim::Task<Result<bool>> is_container(pfs::IoCtx ctx, const std::string& logical);
@@ -191,7 +191,7 @@ class ReadHandle {
   sim::Task<Result<FragmentList>> read(std::uint64_t offset, std::uint64_t len);
   sim::Task<Status> close();
 
-  const IndexView& index() const { return *index_; }
+  const FlatIndex& index() const { return *index_; }
   std::uint64_t logical_size() const { return index_->logical_size(); }
 
  private:

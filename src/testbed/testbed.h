@@ -44,7 +44,6 @@ class Rig {
     pfs::PfsConfig pfs;
     std::size_t plfs_backends = 0;  // 0 = one backend per MDS
     std::size_t num_subdirs = 32;
-    plfs::IndexBackend index_backend = plfs::IndexBackend::flat;
     plfs::WireFormat index_wire = plfs::WireFormat::v2;
     std::uint64_t seed = 0x7e57bed;
     // Deterministic fault injection between PLFS and the simulated PFS

@@ -328,23 +328,11 @@ TEST(WireCompat, TrailerAcceptsBothWireFormats) {
   }
 }
 
-// --- PatternIndex representation ------------------------------------------
-
-TEST(PatternIndexRep, StridedWorkloadCollapsesToRuns) {
-  const auto entries = strided_workload(16, 256, 47 << 10);
-  const PatternIndex idx = PatternIndex::build(entries);
-  const FlatIndex flat = FlatIndex::build(entries);
-  // Same canonical mapping set...
-  EXPECT_EQ(serialize_entries(idx.to_entries()), serialize_entries(flat.to_entries()));
-  // ...but stored as a handful of arithmetic runs, not per-mapping rows,
-  // which is what the IndexCache ends up charging.
-  EXPECT_LE(idx.run_count() + idx.literal_count(), idx.mapping_count() / 10);
-  EXPECT_LT(idx.memory_bytes(), flat.memory_bytes());
-}
-
-TEST(PatternIndexRep, SerializedBytesMatchTheWireEncoder) {
+// The global index's wire-size query is what the open-time collectives
+// charge; it must equal what the encoder actually produces.
+TEST(WireV2, IndexSerializedBytesMatchTheEncoder) {
   const auto entries = strided_workload(16, 64, 8192);
-  const PatternIndex idx = PatternIndex::build(entries);
+  const FlatIndex idx = FlatIndex::build(entries);
   EXPECT_EQ(idx.serialized_bytes(WireFormat::v1),
             idx.mapping_count() * IndexEntry::kSerializedSize);
   EXPECT_EQ(idx.serialized_bytes(WireFormat::v2), encoded_size(idx.to_entries(), WireFormat::v2));

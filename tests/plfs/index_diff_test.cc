@@ -1,18 +1,18 @@
-// Differential tests: FlatIndex and PatternIndex vs BTreeIndex (the
-// correctness oracle).
+// Differential tests: the production FlatIndex vs the test-only BTreeIndex
+// oracle (btree_index.h).
 //
 // Unit level: identical randomized overlapping/striding write pools are fed
-// to every backend; lookup() results, logical_size(), and the compressed
-// mapping set itself must be identical. The pools respect the simulator's
-// invariant that each writer's timestamps increase with its physical
-// offsets (a writer's log is appended in time order) — under it all
-// backends produce the same canonical maximally-compressed mapping set, so
-// the comparison is exact, not just byte-equivalent.
+// to both; lookup() results, logical_size(), and the compressed mapping set
+// itself must be identical. The pools respect the simulator's invariant
+// that each writer's timestamps increase with its physical offsets (a
+// writer's log is appended in time order) — under it both produce the same
+// canonical maximally-compressed mapping set, so the comparison is exact,
+// not just byte-equivalent.
 //
-// Strategy level: a strided N-1 file is aggregated through all three
-// ReadStrategy values with each backend (with and without an injected
-// fault plan); every (strategy, backend) combination must expand to
-// byte-identical lookup results.
+// Strategy level: files of several write shapes are aggregated through all
+// three ReadStrategy values (with and without an injected fault plan); the
+// index each aggregation returns must equal the oracle built from every
+// entry the writers logged.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,10 +23,10 @@
 #include "localfs/mem_fs.h"
 #include "pfs/faulty_fs.h"
 #include "pfs/sim_pfs.h"
+#include "plfs/btree_index.h"
 #include "plfs/index.h"
 #include "plfs/index_builder.h"
 #include "plfs/mpiio.h"
-#include "plfs/pattern.h"
 
 namespace tio::plfs {
 namespace {
@@ -79,38 +79,47 @@ TEST_P(IndexDiff, FlatAndPatternMatchBTreeExactly) {
   const Pool pool = random_pool(GetParam(), /*writers=*/8, /*ops=*/500);
   const BTreeIndex oracle = BTreeIndex::build(pool.entries);
   const FlatIndex flat = FlatIndex::build(pool.entries);
-  const PatternIndex pattern = PatternIndex::build(pool.entries);
 
-  for (const IndexView* idx : {static_cast<const IndexView*>(&flat),
-                               static_cast<const IndexView*>(&pattern)}) {
-    EXPECT_EQ(idx->logical_size(), oracle.logical_size());
-    EXPECT_EQ(idx->mapping_count(), oracle.mapping_count());
-    // The canonical compressed mapping sets are identical, so serialization
-    // is byte-identical too.
-    EXPECT_EQ(serialize_entries(idx->to_entries()), serialize_entries(oracle.to_entries()));
-    // Full-range and random ranged lookups agree exactly.
-    EXPECT_EQ(idx->lookup(0, pool.domain), oracle.lookup(0, pool.domain));
-    Rng rng(GetParam() ^ 0xD1FF);
-    for (int probe = 0; probe < 200; ++probe) {
-      const std::uint64_t off = rng.below(pool.domain);
-      const std::uint64_t len = 1 + rng.below(128 << 10);
-      EXPECT_EQ(idx->lookup(off, len), oracle.lookup(off, len)) << "probe " << probe;
-    }
-    // Past-EOF and zero-length probes.
-    EXPECT_EQ(idx->lookup(pool.domain * 2, 100), oracle.lookup(pool.domain * 2, 100));
-    EXPECT_EQ(idx->lookup(5, 0), oracle.lookup(5, 0));
+  EXPECT_EQ(flat.logical_size(), oracle.logical_size());
+  EXPECT_EQ(flat.mapping_count(), oracle.mapping_count());
+  // The canonical compressed mapping sets are identical, so serialization
+  // is byte-identical too.
+  EXPECT_EQ(serialize_entries(flat.to_entries()), serialize_entries(oracle.to_entries()));
+  // Full-range and random ranged lookups agree exactly.
+  EXPECT_EQ(flat.lookup(0, pool.domain), oracle.lookup(0, pool.domain));
+  Rng rng(GetParam() ^ 0xD1FF);
+  for (int probe = 0; probe < 200; ++probe) {
+    const std::uint64_t off = rng.below(pool.domain);
+    const std::uint64_t len = 1 + rng.below(128 << 10);
+    EXPECT_EQ(flat.lookup(off, len), oracle.lookup(off, len)) << "probe " << probe;
   }
+  // Past-EOF and zero-length probes.
+  EXPECT_EQ(flat.lookup(pool.domain * 2, 100), oracle.lookup(pool.domain * 2, 100));
+  EXPECT_EQ(flat.lookup(5, 0), oracle.lookup(5, 0));
 }
 
+// Compression never changes what a read returns: merging the uncompressed
+// oracle's adjacent same-writer, physically contiguous pieces yields
+// exactly FlatIndex's mappings.
 TEST_P(IndexDiff, UncompressedBackendsAgree) {
   const Pool pool = random_pool(GetParam() ^ 0xC0FFEE, 5, 300);
   const BTreeIndex oracle = BTreeIndex::build(pool.entries, /*compress=*/false);
-  const FlatIndex flat = FlatIndex::build(pool.entries, /*compress=*/false);
-  const PatternIndex pattern = PatternIndex::build(pool.entries, /*compress=*/false);
+  const FlatIndex flat = FlatIndex::build(pool.entries);
+  std::vector<FlatIndex::Mapping> merged;
+  for (const auto& m : oracle.lookup(0, pool.domain)) {
+    if (!merged.empty()) {
+      FlatIndex::Mapping& back = merged.back();
+      if (back.writer == m.writer && back.logical_offset + back.length == m.logical_offset &&
+          back.physical_offset + back.length == m.physical_offset) {
+        back.length += m.length;
+        continue;
+      }
+    }
+    merged.push_back(m);
+  }
+  EXPECT_GE(oracle.mapping_count(), flat.mapping_count());
   EXPECT_EQ(flat.logical_size(), oracle.logical_size());
-  EXPECT_EQ(flat.lookup(0, pool.domain), oracle.lookup(0, pool.domain));
-  EXPECT_EQ(pattern.logical_size(), oracle.logical_size());
-  EXPECT_EQ(pattern.lookup(0, pool.domain), oracle.lookup(0, pool.domain));
+  EXPECT_EQ(flat.lookup(0, pool.domain), merged);
 }
 
 TEST_P(IndexDiff, BuilderMergeMatchesPoolSort) {
@@ -119,39 +128,32 @@ TEST_P(IndexDiff, BuilderMergeMatchesPoolSort) {
   const Pool pool = random_pool(GetParam() ^ 0x5EED, 6, 400);
   std::vector<std::vector<IndexEntry>> runs(6);
   for (const auto& e : pool.entries) runs[e.writer].push_back(e);
-  IndexBuilder flat_builder(IndexBackend::flat);
-  IndexBuilder btree_builder(IndexBackend::btree);
-  IndexBuilder pattern_builder(IndexBackend::pattern);
+  IndexBuilder builder;
   for (auto& r : runs) {
     std::sort(r.begin(), r.end(), entry_timestamp_less);
-    flat_builder.add_entries(r);
-    pattern_builder.add_entries(r);
-    btree_builder.add_entries(std::move(r));
+    builder.add_entries(std::move(r));
   }
-  const IndexPtr flat = flat_builder.build();
-  const IndexPtr btree = btree_builder.build();
-  const IndexPtr pattern = pattern_builder.build();
+  const IndexPtr flat = builder.build();
   const FlatIndex direct = FlatIndex::build(pool.entries);
+  // The oracle fed the merged run directly (no re-sort).
+  const BTreeIndex oracle = BTreeIndex::from_sorted(builder.merged_run());
 
   EXPECT_EQ(flat->lookup(0, pool.domain), direct.lookup(0, pool.domain));
-  EXPECT_EQ(btree->lookup(0, pool.domain), direct.lookup(0, pool.domain));
-  EXPECT_EQ(pattern->lookup(0, pool.domain), direct.lookup(0, pool.domain));
+  EXPECT_EQ(oracle.lookup(0, pool.domain), direct.lookup(0, pool.domain));
   EXPECT_EQ(flat->logical_size(), direct.logical_size());
-  EXPECT_EQ(btree->logical_size(), direct.logical_size());
-  EXPECT_EQ(pattern->logical_size(), direct.logical_size());
-  EXPECT_EQ(serialize_entries(flat->to_entries()), serialize_entries(btree->to_entries()));
-  EXPECT_EQ(serialize_entries(pattern->to_entries()), serialize_entries(btree->to_entries()));
+  EXPECT_EQ(oracle.logical_size(), direct.logical_size());
+  EXPECT_EQ(serialize_entries(flat->to_entries()), serialize_entries(oracle.to_entries()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IndexDiff,
                          ::testing::Values(1, 7, 13, 99, 1234, 987654, 0xFEEDFACE));
 
-// --- strategy-level: every ReadStrategy x every backend, same results ---
+// --- strategy-level: every ReadStrategy against the oracle ---
 
 struct World {
-  explicit World(IndexBackend backend, const std::string& plan_spec = "none")
+  explicit World(const std::string& plan_spec = "none")
       : cluster(engine, cluster_config()), pfs(cluster, pfs_config()),
-        faulty(pfs, parse_plan(plan_spec)), plfs(faulty, mount_config(backend)) {
+        faulty(pfs, parse_plan(plan_spec)), plfs(faulty, mount_config()) {
     for (const auto& b : plfs.mount().backends) {
       if (!pfs.ns().mkdir_all(b).ok()) std::abort();
     }
@@ -173,14 +175,13 @@ struct World {
     c.num_osts = 8;
     return c;
   }
-  static PlfsMount mount_config(IndexBackend backend) {
+  static PlfsMount mount_config() {
     PlfsMount m;
     for (std::size_t i = 0; i < 4; ++i) {
       m.backends.push_back("/vol" + std::to_string(i) + "/plfs");
     }
     m.num_subdirs = 8;
     m.index_flush_every = 8;
-    m.index_backend = backend;
     return m;
   }
 
@@ -191,59 +192,15 @@ struct World {
   Plfs plfs;
 };
 
-TEST(IndexDiffStrategies, AllStrategiesAndBackendsExpandIdentically) {
-  constexpr int kProcs = 9;
-  constexpr std::uint64_t kRecord = 3000;
-  constexpr int kRounds = 4;
-  const std::uint64_t total = static_cast<std::uint64_t>(kProcs) * kRounds * kRecord;
-
-  std::vector<std::vector<IndexView::Mapping>> expansions;
-  std::vector<std::uint64_t> sizes;
-  for (const IndexBackend backend :
-       {IndexBackend::btree, IndexBackend::flat, IndexBackend::pattern}) {
-    World w(backend);
-    mpi::run_spmd(w.cluster, kProcs, [&w](mpi::Comm comm) -> sim::Task<void> {
-      auto file = co_await MpiFile::open_write(w.plfs, comm, "/diff");
-      EXPECT_TRUE(file.ok()) << file.status();
-      if (!file.ok()) co_return;
-      for (int r = 0; r < kRounds; ++r) {
-        const std::uint64_t off =
-            (static_cast<std::uint64_t>(r) * comm.size() + comm.rank()) * kRecord;
-        EXPECT_TRUE((co_await (*file)->write(off, DataView::pattern(7, off, kRecord))).ok());
-      }
-      EXPECT_TRUE((co_await (*file)->close_write(/*flatten=*/true)).ok());
-    });
-    for (const ReadStrategy strategy : {ReadStrategy::original, ReadStrategy::index_flatten,
-                                        ReadStrategy::parallel_read}) {
-      IndexPtr got;
-      mpi::run_spmd(w.cluster, kProcs,
-                    [&w, &got, strategy](mpi::Comm comm) -> sim::Task<void> {
-                      auto idx = co_await aggregate_index(w.plfs, comm, "/diff", strategy);
-                      EXPECT_TRUE(idx.ok()) << idx.status();
-                      if (idx.ok() && comm.rank() == 0) got = *idx;
-                    });
-      ASSERT_NE(got, nullptr);
-      expansions.push_back(got->lookup(0, total));
-      sizes.push_back(got->logical_size());
-    }
-  }
-  ASSERT_EQ(expansions.size(), 9u);
-  for (std::size_t i = 1; i < expansions.size(); ++i) {
-    EXPECT_EQ(expansions[i], expansions[0]) << "combination " << i;
-    EXPECT_EQ(sizes[i], sizes[0]) << "combination " << i;
-  }
-}
-
-// --- PatternIndex vs oracle: workload shapes x strategies x fault plans ---
-
 // Four write shapes spanning the detector's best and worst cases.
 enum class Shape { strided, sequential, overlapping, irregular };
 
+constexpr int kShapeProcs = 9;
+
 void write_shape(World& w, const std::string& logical, Shape shape) {
-  constexpr int kProcs = 9;
   constexpr int kRounds = 4;
   constexpr std::uint64_t kRecord = 3000;
-  mpi::run_spmd(w.cluster, kProcs, [&](mpi::Comm comm) -> sim::Task<void> {
+  mpi::run_spmd(w.cluster, kShapeProcs, [&](mpi::Comm comm) -> sim::Task<void> {
     auto file = co_await MpiFile::open_write(w.plfs, comm, logical);
     EXPECT_TRUE(file.ok()) << file.status();
     if (!file.ok()) co_return;
@@ -282,34 +239,71 @@ void write_shape(World& w, const std::string& logical, Shape shape) {
   });
 }
 
+// The oracle over everything the job wrote: every writer's index log, read
+// back raw and resolved by BTreeIndex, independent of any aggregation
+// strategy.
+BTreeIndex oracle_of(World& w, const std::string& logical) {
+  std::vector<IndexEntry> pool;
+  mpi::run_spmd(w.cluster, 1, [&](mpi::Comm comm) -> sim::Task<void> {
+    const pfs::IoCtx ctx{comm.my_node(), comm.global_rank()};
+    auto logs = co_await w.plfs.list_index_logs(ctx, logical);
+    EXPECT_TRUE(logs.ok()) << logs.status();
+    if (!logs.ok()) co_return;
+    for (const auto& log : *logs) {
+      auto entries = co_await w.plfs.read_index_log(ctx, logical, log.path);
+      EXPECT_TRUE(entries.ok()) << entries.status();
+      if (!entries.ok()) co_return;
+      pool.insert(pool.end(), (*entries)->begin(), (*entries)->end());
+    }
+  });
+  EXPECT_FALSE(pool.empty());
+  return BTreeIndex::build(std::move(pool));
+}
+
+// Aggregates `logical` through every ReadStrategy, then checks each
+// returned index against the oracle: same expansion over [0, domain), same
+// size, same canonical mapping set. The oracle reads the logs only after
+// every strategy ran, so the pipeline parses them itself.
+void expect_strategies_match_oracle(World& w, const std::string& logical, std::uint64_t domain,
+                                    const std::string& label) {
+  const std::vector<ReadStrategy> strategies = {
+      ReadStrategy::original, ReadStrategy::index_flatten, ReadStrategy::parallel_read};
+  std::vector<IndexPtr> got(strategies.size());
+  for (std::size_t i = 0; i < strategies.size(); ++i) {
+    mpi::run_spmd(w.cluster, kShapeProcs, [&](mpi::Comm comm) -> sim::Task<void> {
+      auto idx = co_await aggregate_index(w.plfs, comm, logical, strategies[i]);
+      EXPECT_TRUE(idx.ok()) << idx.status();
+      if (idx.ok() && comm.rank() == 0) got[i] = *idx;
+    });
+  }
+  const BTreeIndex oracle = oracle_of(w, logical);
+  for (std::size_t i = 0; i < strategies.size(); ++i) {
+    const auto where = label + " strategy " + std::to_string(static_cast<int>(strategies[i]));
+    ASSERT_NE(got[i], nullptr) << where;
+    EXPECT_EQ(got[i]->lookup(0, domain), oracle.lookup(0, domain)) << where;
+    EXPECT_EQ(got[i]->logical_size(), oracle.logical_size()) << where;
+    EXPECT_EQ(serialize_entries(got[i]->to_entries()), serialize_entries(oracle.to_entries()))
+        << where;
+  }
+}
+
+TEST(IndexDiffStrategies, AllStrategiesAndBackendsExpandIdentically) {
+  World w;
+  write_shape(w, "/diff", Shape::strided);
+  // Exactly the written extent: 9 ranks x 4 rounds x 3000-byte records.
+  expect_strategies_match_oracle(w, "/diff", kShapeProcs * 4 * 3000, "strided");
+}
+
 TEST(IndexDiffStrategies, PatternMatchesOracleAcrossShapesStrategiesAndFaults) {
-  constexpr int kProcs = 9;
   constexpr std::uint64_t kDomain = 1 << 19;  // covers every shape's extent
   for (const char* plan : {"none", "transient1"}) {
     for (const Shape shape :
          {Shape::strided, Shape::sequential, Shape::overlapping, Shape::irregular}) {
-      std::vector<std::vector<IndexView::Mapping>> expansions;
-      for (const IndexBackend backend : {IndexBackend::btree, IndexBackend::pattern}) {
-        World w(backend, plan);
-        write_shape(w, "/shape", shape);
-        for (const ReadStrategy strategy : {ReadStrategy::original, ReadStrategy::index_flatten,
-                                            ReadStrategy::parallel_read}) {
-          IndexPtr got;
-          mpi::run_spmd(w.cluster, kProcs,
-                        [&w, &got, strategy](mpi::Comm comm) -> sim::Task<void> {
-                          auto idx = co_await aggregate_index(w.plfs, comm, "/shape", strategy);
-                          EXPECT_TRUE(idx.ok()) << idx.status();
-                          if (idx.ok() && comm.rank() == 0) got = *idx;
-                        });
-          ASSERT_NE(got, nullptr);
-          expansions.push_back(got->lookup(0, kDomain));
-        }
-      }
-      ASSERT_EQ(expansions.size(), 6u);
-      for (std::size_t i = 1; i < expansions.size(); ++i) {
-        EXPECT_EQ(expansions[i], expansions[0])
-            << "plan " << plan << " shape " << static_cast<int>(shape) << " combination " << i;
-      }
+      World w(plan);
+      write_shape(w, "/shape", shape);
+      expect_strategies_match_oracle(
+          w, "/shape", kDomain,
+          std::string("plan ") + plan + " shape " + std::to_string(static_cast<int>(shape)));
     }
   }
 }
