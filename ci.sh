@@ -162,6 +162,25 @@ LC_ALL="$json_locale" ./build/bench/fig8_large_scale --max-read-procs 256 \
   --topology=flat --racks=8 --oversubscription=4 >"$out/fig8_run_flat.txt" 2>/dev/null
 cmp "$out/fig8_run1.txt" "$out/fig8_run_flat.txt"
 
+echo "==> tor / fat-tree stdout must be byte-identical across reruns and --shards=4"
+# The switched presets get the same pins as the flat one: FlowNet settles
+# its max-min rates once per virtual instant under reserved sequence
+# numbers, and nothing about that may depend on the run or the shard count.
+pin_switched() {
+  local name=$1
+  shift
+  LC_ALL="$json_locale" "$@" --shards=1 >"$out/${name}_s1a.txt" 2>/dev/null
+  LC_ALL="$json_locale" "$@" --shards=1 >"$out/${name}_s1b.txt" 2>/dev/null
+  TIO_SHARDS_OVERSUBSCRIBE=1 LC_ALL="$json_locale" "$@" --shards=4 \
+    >"$out/${name}_s4.txt" 2>/dev/null
+  cmp "$out/${name}_s1a.txt" "$out/${name}_s1b.txt"
+  cmp "$out/${name}_s1a.txt" "$out/${name}_s4.txt"
+}
+pin_switched fig5_tor ./build/bench/fig5_kernels --max-procs 64 --scale-mib 2 \
+  --topology tor --racks 8 --oversubscription 4
+pin_switched fig4_fat_tree ./build/bench/fig4_read_scaling --max-streams 64 --per-proc-mib 1 \
+  --topology fat-tree --racks 8 --oversubscription 4
+
 echo "==> tor at 8:1 must show the incast collapse that rack groups recover"
 # The headline scenario of BENCH_topology.json at smoke scale: thin racks
 # (2 nodes) so the 8:1 uplink is below a single NIC, sqrt groups straddle

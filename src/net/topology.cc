@@ -45,91 +45,37 @@ std::uint32_t FlowNet::add_link(double capacity_bytes_per_sec) {
     throw std::invalid_argument("FlowNet: link capacity must be > 0");
   }
   links_.push_back(Link{capacity_bytes_per_sec});
+  fill_.emplace_back();
   return static_cast<std::uint32_t>(links_.size() - 1);
-}
-
-double FlowNet::rate_of(std::uint64_t seq) const {
-  for (const Flow& f : flows_) {
-    if (f.seq == seq) return f.rate;
-  }
-  return -1;
-}
-
-std::vector<double> FlowNet::max_min_rates(const std::vector<double>& capacity,
-                                           const std::vector<std::vector<std::uint32_t>>& paths) {
-  const std::size_t num_flows = paths.size();
-  const std::size_t num_links = capacity.size();
-  std::vector<double> rate(num_flows, 0.0);
-  std::vector<char> frozen(num_flows, 0);
-  std::vector<double> residual = capacity;
-  std::vector<std::uint32_t> load(num_links, 0);
-
-  std::size_t unfrozen = 0;
-  for (std::size_t f = 0; f < num_flows; ++f) {
-    if (paths[f].empty()) {
-      rate[f] = std::numeric_limits<double>::infinity();
-      frozen[f] = 1;
-    } else {
-      ++unfrozen;
-    }
-  }
-  while (unfrozen > 0) {
-    std::fill(load.begin(), load.end(), 0u);
-    for (std::size_t f = 0; f < num_flows; ++f) {
-      if (frozen[f]) continue;
-      for (const std::uint32_t l : paths[f]) ++load[l];
-    }
-    // Bottleneck: the link giving its flows the smallest equal share; the
-    // lowest index wins ties, so the fill order is deterministic.
-    std::size_t bottleneck = num_links;
-    double share = 0;
-    for (std::size_t l = 0; l < num_links; ++l) {
-      if (load[l] == 0) continue;
-      const double s = residual[l] / static_cast<double>(load[l]);
-      if (bottleneck == num_links || s < share) {
-        bottleneck = l;
-        share = s;
-      }
-    }
-    if (bottleneck == num_links) break;  // no loaded link left (unreachable)
-    for (std::size_t f = 0; f < num_flows; ++f) {
-      if (frozen[f]) continue;
-      bool crosses = false;
-      for (const std::uint32_t l : paths[f]) crosses = crosses || l == bottleneck;
-      if (!crosses) continue;
-      rate[f] = share;
-      frozen[f] = 1;
-      --unfrozen;
-      for (const std::uint32_t l : paths[f]) residual[l] = std::max(0.0, residual[l] - share);
-    }
-  }
-  return rate;
 }
 
 void FlowNet::start_transfer(std::span<const std::uint32_t> path, std::uint64_t bytes,
                              std::coroutine_handle<> h) {
   assert(!path.empty() && "FlowNet flows must cross at least one link");
+  if (path.size() > kMaxPathLinks) {
+    throw std::invalid_argument("FlowNet: a flow crosses at most kMaxPathLinks links");
+  }
   advance();
   Flow flow;
-  flow.seq = seq_++;
   flow.remaining = static_cast<double>(bytes);
   flow.handle = h;
-  flow.path.assign(path.begin(), path.end());
+  flow.path_len = static_cast<std::uint32_t>(path.size());
+  std::copy(path.begin(), path.end(), flow.path.begin());
   trace::Tracer& tracer = trace::Tracer::instance();
   if (tracer.enabled()) {
     const trace::SpanSite& site = path.size() > 2 ? cross_rack_site() : intra_rack_site();
     flow.trace_rec =
         tracer.begin_span(-1, site.name_id, site.cat_id, engine_.trace_pid(), engine_.now().to_ns());
   }
-  for (const std::uint32_t l : flow.path) {
+  for (const std::uint32_t l : flow.links()) {
     links_[l].bytes += bytes;
     link_started(l);
   }
-  flows_.push_back(std::move(flow));
+  flows_.push_back(flow);
   ++stats_.flows;
   stats_.bytes += bytes;
   stats_.max_concurrency = std::max(stats_.max_concurrency, flows_.size());
-  recompute_and_schedule();
+  membership_changed();
 }
 
 void FlowNet::advance() {
@@ -141,49 +87,25 @@ void FlowNet::advance() {
   last_update_ = now;
 }
 
-void FlowNet::recompute_and_schedule() {
+void FlowNet::membership_changed() {
   ++generation_;  // invalidate any previously scheduled completion
   if (flows_.empty()) return;
-  ++stats_.recomputes;
-
-  // Water-fill in place over the active set (same algorithm as the pure
-  // max_min_rates, but against member scratch to avoid per-event churn).
-  scratch_residual_.resize(links_.size());
-  for (std::size_t l = 0; l < links_.size(); ++l) scratch_residual_[l] = links_[l].capacity;
-  scratch_load_.assign(links_.size(), 0u);
-  scratch_frozen_.assign(flows_.size(), 0);
-  std::size_t unfrozen = flows_.size();
-  while (unfrozen > 0) {
-    std::fill(scratch_load_.begin(), scratch_load_.end(), 0u);
-    for (std::size_t f = 0; f < flows_.size(); ++f) {
-      if (scratch_frozen_[f]) continue;
-      for (const std::uint32_t l : flows_[f].path) ++scratch_load_[l];
-    }
-    std::size_t bottleneck = links_.size();
-    double share = 0;
-    for (std::size_t l = 0; l < links_.size(); ++l) {
-      if (scratch_load_[l] == 0) continue;
-      const double s = scratch_residual_[l] / static_cast<double>(scratch_load_[l]);
-      if (bottleneck == links_.size() || s < share) {
-        bottleneck = l;
-        share = s;
-      }
-    }
-    if (bottleneck == links_.size()) break;
-    assert(share > 0 && "max-min share must stay positive on positive capacities");
-    for (std::size_t f = 0; f < flows_.size(); ++f) {
-      if (scratch_frozen_[f]) continue;
-      bool crosses = false;
-      for (const std::uint32_t l : flows_[f].path) crosses = crosses || l == bottleneck;
-      if (!crosses) continue;
-      flows_[f].rate = share;
-      scratch_frozen_[f] = 1;
-      --unfrozen;
-      for (const std::uint32_t l : flows_[f].path) {
-        scratch_residual_[l] = std::max(0.0, scratch_residual_[l] - share);
-      }
-    }
+  // The seq a completion scheduled right here would take: the settle
+  // schedules under it, so only the instant's last change decides it.
+  reserved_seq_ = engine_.reserve_seq();
+  if (!settle_pending_) {
+    settle_pending_ = true;
+    engine_.after(Duration::zero(), [this] { settle(); });
   }
+}
+
+void FlowNet::settle() {
+  static Counter& settles = counter("net.topo.settles");
+  settle_pending_ = false;
+  if (flows_.empty()) return;
+  ++stats_.settles;
+  settles.add(1);
+  water_fill();
 
   // Next completion: the earliest finish over all flows at the new rates.
   double next_s = std::numeric_limits<double>::infinity();
@@ -193,7 +115,65 @@ void FlowNet::recompute_and_schedule() {
   // Round up and add 1 ns so the event never fires short of the target.
   const auto ns = static_cast<std::int64_t>(std::ceil(next_s * 1e9)) + 1;
   const std::uint64_t expect = generation_;
-  engine_.after(Duration::ns(ns), [this, expect] { on_completion_event(expect); });
+  engine_.at_reserved(engine_.now() + Duration::ns(ns), reserved_seq_,
+                      [this, expect] { on_completion_event(expect); });
+}
+
+void FlowNet::water_fill() {
+  // Count each link's flows, then lay the flows out per link (CSR, in
+  // arrival order). Only links some flow crosses enter the rounds.
+  loaded_.clear();
+  for (const Flow& f : flows_) {
+    for (const std::uint32_t l : f.links()) {
+      if (fill_[l].load++ == 0) loaded_.push_back(l);
+    }
+  }
+  std::uint32_t offset = 0;
+  for (const std::uint32_t l : loaded_) {
+    Fill& x = fill_[l];
+    x.residual = links_[l].capacity;
+    x.begin = x.end = offset;
+    offset += x.load;
+  }
+  members_.resize(offset);
+  for (std::uint32_t f = 0; f < flows_.size(); ++f) {
+    for (const std::uint32_t l : flows_[f].links()) members_[fill_[l].end++] = f;
+  }
+  frozen_.assign(flows_.size(), 0);
+
+  for (;;) {
+    // Bottleneck: the link giving its unfrozen flows the smallest equal
+    // share, lowest index on ties. Links whose flows are all frozen drop
+    // out of the scan.
+    std::uint32_t bottleneck = 0;
+    double share = 0;
+    std::size_t kept = 0;
+    for (const std::uint32_t l : loaded_) {
+      const Fill& x = fill_[l];
+      if (x.load == 0) continue;
+      const double s = x.residual / static_cast<double>(x.load);
+      if (kept == 0 || s < share || (s == share && l < bottleneck)) {
+        bottleneck = l;
+        share = s;
+      }
+      loaded_[kept++] = l;
+    }
+    loaded_.resize(kept);
+    if (kept == 0) break;  // every flow frozen; every load is back to zero
+    assert(share > 0 && "max-min share must stay positive on positive capacities");
+    const Fill& b = fill_[bottleneck];
+    for (std::uint32_t k = b.begin; k < b.end; ++k) {
+      const std::uint32_t f = members_[k];
+      if (frozen_[f]) continue;
+      frozen_[f] = 1;
+      flows_[f].rate = share;
+      for (const std::uint32_t l : flows_[f].links()) {
+        Fill& x = fill_[l];
+        --x.load;
+        x.residual = std::max(0.0, x.residual - share);
+      }
+    }
+  }
 }
 
 void FlowNet::on_completion_event(std::uint64_t generation) {
@@ -210,16 +190,16 @@ void FlowNet::on_completion_event(std::uint64_t generation) {
       if (flow.trace_rec != trace::kNoRecord) {
         tracer.end_span(-1, flow.trace_rec, engine_.now().to_ns());
       }
-      for (const std::uint32_t l : flow.path) link_finished(l);
+      for (const std::uint32_t l : flow.links()) link_finished(l);
       const auto h = flow.handle;
       engine_.after(Duration::zero(), [h] { h.resume(); });
     } else {
-      if (kept != f) flows_[kept] = std::move(flow);
+      if (kept != f) flows_[kept] = flow;
       ++kept;
     }
   }
   flows_.resize(kept);
-  recompute_and_schedule();
+  membership_changed();
 }
 
 void FlowNet::link_started(std::uint32_t link) {

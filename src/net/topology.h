@@ -13,12 +13,16 @@
 //     flow crossing an ordered list of links. Bandwidth is allocated by
 //     max-min fairness: iterative water-filling freezes the flows of the
 //     most-contended link at its equal share, subtracts, and repeats.
-//     Rates are recomputed on every flow arrival and departure in virtual
-//     time; between membership changes all rates are constant, so each
-//     flow's completion instant is exact. Deterministic: bottleneck ties
-//     break on the lowest link index, completions resume in flow-arrival
-//     order, and event times are integer ns (ceil + 1 ns slack, like
-//     sim::FairShareChannel).
+//     Rates settle once per virtual instant in which flows arrived or
+//     departed: the first change arms one zero-delay settle event, which
+//     water-fills the instant's final flow set over the loaded links only.
+//     Between settles all rates are constant, so each flow's completion
+//     instant is exact. The next completion is scheduled under a sequence
+//     number reserved at the instant's last change, so every event keeps
+//     the order a re-fill on each change would give it. Deterministic:
+//     bottleneck ties break on the lowest link index, completions resume
+//     in flow-arrival order, and event times are integer ns (ceil + 1 ns
+//     slack, like sim::FairShareChannel).
 //
 //   * Topology — builds the preset link graph from a ClusterConfig and
 //     routes node-to-node transfers through it:
@@ -42,11 +46,13 @@
 // pre-topology fabric.
 //
 // Observability: net.topo.* counters (message/byte split by locality
-// class, per-link-class bytes routed) and trace spans per flow
+// class, per-link-class bytes routed, water-filling passes as
+// net.topo.settles) and trace spans per flow
 // (net.topo.flow.intra_rack / .cross_rack) plus per-link busy periods
 // (net.topo.link.busy) on the engine track.
 #pragma once
 
+#include <array>
 #include <cassert>
 #include <coroutine>
 #include <cstdint>
@@ -63,6 +69,9 @@ namespace tio::net {
 
 class FlowNet {
  public:
+  // Longest path a flow may cross (a cross-rack topology route).
+  static constexpr std::size_t kMaxPathLinks = 4;
+
   explicit FlowNet(sim::Engine& engine);
 
   // Registers a link; returns its dense index. Capacity must be > 0.
@@ -72,8 +81,8 @@ class FlowNet {
   // Total bytes of flows routed over this link (counted at flow start).
   std::uint64_t link_bytes(std::uint32_t link) const { return links_[link].bytes; }
 
-  // Awaitable: completes when `bytes` have moved along `path` (non-empty
-  // list of link indices) under global max-min sharing. Zero-byte
+  // Awaitable: completes when `bytes` have moved along `path` (1 to
+  // kMaxPathLinks link indices) under global max-min sharing. Zero-byte
   // transfers complete immediately.
   struct Awaiter {
     FlowNet* net;
@@ -91,24 +100,11 @@ class FlowNet {
   }
 
   std::size_t active_flows() const { return flows_.size(); }
-  // Current max-min rate of the flow admitted `seq`-th (tests); -1 when
-  // that flow is no longer active.
-  double rate_of(std::uint64_t seq) const;
-
-  // Pure max-min water-filling, exposed for closed-form unit tests:
-  // returns one rate per flow, where flow f crosses the links in
-  // `paths[f]`. Repeatedly finds the bottleneck link (smallest
-  // residual capacity / unfrozen flow count; ties on the lowest link
-  // index), freezes its flows at that equal share, and subtracts them
-  // from every link they cross. Flows with an empty path are
-  // unconstrained and get an infinite rate.
-  static std::vector<double> max_min_rates(const std::vector<double>& capacity,
-                                           const std::vector<std::vector<std::uint32_t>>& paths);
 
   struct Stats {
     std::uint64_t flows = 0;
     std::uint64_t bytes = 0;
-    std::uint64_t recomputes = 0;  // water-filling passes
+    std::uint64_t settles = 0;  // water-filling passes
     std::size_t max_concurrency = 0;
   };
   const Stats& stats() const { return stats_; }
@@ -121,21 +117,34 @@ class FlowNet {
     std::uint32_t busy_rec = trace::kNoRecord;  // open busy-period span
   };
   struct Flow {
-    std::uint64_t seq;
     double remaining;  // bytes still to deliver
-    double rate = 0;   // current max-min allocation, bytes/s
+    double rate = 0;   // max-min allocation from the last settle, bytes/s
     std::coroutine_handle<> handle;
     std::uint32_t trace_rec = trace::kNoRecord;
-    std::vector<std::uint32_t> path;
+    std::uint32_t path_len = 0;
+    std::array<std::uint32_t, kMaxPathLinks> path{};
+    std::span<const std::uint32_t> links() const { return {path.data(), path_len}; }
+  };
+  // Water-filling state of one link during a settle.
+  struct Fill {
+    double residual = 0;     // capacity not yet given to frozen flows
+    std::uint32_t load = 0;  // unfrozen flows crossing the link
+    std::uint32_t begin = 0;  // its flows are members_[begin, end),
+    std::uint32_t end = 0;    // in arrival order
   };
 
   void start_transfer(std::span<const std::uint32_t> path, std::uint64_t bytes,
                       std::coroutine_handle<> h);
   // Moves every flow forward to now() at its current rate.
   void advance();
-  // Water-fills rates for the current flow set and schedules the next
-  // completion event (generation-guarded).
-  void recompute_and_schedule();
+  // The flow set changed: stales the scheduled completion, reserves the
+  // sequence number its replacement takes and arms a settle if none is
+  // pending at this instant.
+  void membership_changed();
+  // Water-fills rates for the instant's final flow set and schedules the
+  // next completion event (generation-guarded) under the reserved seq.
+  void settle();
+  void water_fill();
   void on_completion_event(std::uint64_t generation);
   void link_started(std::uint32_t link);
   void link_finished(std::uint32_t link);
@@ -144,13 +153,16 @@ class FlowNet {
   std::vector<Link> links_;
   std::vector<Flow> flows_;  // active flows in arrival order
   TimePoint last_update_;
-  std::uint64_t seq_ = 0;
   std::uint64_t generation_ = 0;  // invalidates stale completion events
+  std::uint64_t reserved_seq_ = 0;  // engine seq of the next completion
+  bool settle_pending_ = false;
   Stats stats_;
-  // Water-filling scratch, reused across events.
-  std::vector<double> scratch_residual_;
-  std::vector<std::uint32_t> scratch_load_;
-  std::vector<char> scratch_frozen_;
+  // Water-filling scratch, reused across settles. fill_ is per link; its
+  // loads are all zero between settles.
+  std::vector<Fill> fill_;
+  std::vector<std::uint32_t> loaded_;   // links that still carry unfrozen flows
+  std::vector<std::uint32_t> members_;  // CSR: flow indices grouped by link
+  std::vector<char> frozen_;
 };
 
 // Preset link graphs over a ClusterConfig (topology != flat).
@@ -166,7 +178,7 @@ class Topology {
   struct Route {
     enum class Class { intra_node, intra_rack, cross_rack };
     Class klass = Class::intra_node;
-    std::uint32_t links[4] = {0, 0, 0, 0};
+    std::uint32_t links[FlowNet::kMaxPathLinks] = {0, 0, 0, 0};
     std::size_t num_links = 0;
     Duration latency = Duration::zero();
   };

@@ -1,5 +1,6 @@
 #include "sim/engine.h"
 
+#include <cassert>
 #include <chrono>
 #include <limits>
 #include <stdexcept>
@@ -55,8 +56,7 @@ Engine::~Engine() = default;
 
 bool Engine::is_current() const { return t_current_engine == this; }
 
-void Engine::at(TimePoint t, MoveFn<void()> fn) {
-  if (t < now_) throw std::logic_error("Engine::at: scheduling into the past");
+void Engine::enqueue(TimePoint t, std::uint64_t seq, MoveFn<void()>&& fn) {
   std::uint32_t idx;
   if (!free_.empty()) {
     idx = free_.back();
@@ -73,14 +73,24 @@ void Engine::at(TimePoint t, MoveFn<void()> fn) {
     ++stats_.pool_misses;
   }
   slot(idx) = std::move(fn);
-  ++seq_;
   if (t == now_) {
     today_.push_back(idx);  // runs after the heap's now_-entries; see engine.h
   } else {
-    heap_.push(HeapItem{t.to_ns(), (seq_ << kIdxBits) | idx});
+    heap_.push(HeapItem{t.to_ns(), (seq << kIdxBits) | idx});
   }
   const std::size_t pending = heap_.size() + (today_.size() - today_head_);
   if (pending > stats_.peak_queue) stats_.peak_queue = pending;
+}
+
+void Engine::at(TimePoint t, MoveFn<void()> fn) {
+  if (t < now_) throw std::logic_error("Engine::at: scheduling into the past");
+  enqueue(t, ++seq_, std::move(fn));
+}
+
+void Engine::at_reserved(TimePoint t, std::uint64_t seq, MoveFn<void()> fn) {
+  if (t <= now_) throw std::logic_error("Engine::at_reserved: target must be in the future");
+  assert(seq <= seq_ && "Engine::at_reserved: sequence number was never reserved");
+  enqueue(t, seq, std::move(fn));
 }
 
 void Engine::after(Duration d, MoveFn<void()> fn) {

@@ -44,6 +44,15 @@ class Engine {
   // would overflow the 64-bit nanosecond clock saturate to the far future).
   void after(Duration d, MoveFn<void()> fn);
 
+  // Deferred scheduling: reserve_seq() takes the sequence number an at()
+  // call made right now would take, and at_reserved() later schedules `fn`
+  // at `t` under that number. The event then pops exactly where an at(t)
+  // made at the reservation point would have, relative to every other
+  // event. `t` must lie strictly in the future (throws otherwise), so the
+  // event always goes through the heap; see the ordering note below.
+  std::uint64_t reserve_seq() { return ++seq_; }
+  void at_reserved(TimePoint t, std::uint64_t seq, MoveFn<void()> fn);
+
   // Awaitable timer: co_await engine.sleep(d).
   struct SleepAwaiter {
     Engine* engine;
@@ -145,6 +154,11 @@ class Engine {
     return chunks_[idx >> kChunkShift][idx & (kChunkSize - 1)];
   }
 
+  // Parks `fn` in a slab slot and queues it under (t, seq): in the FIFO
+  // when t is now_, else in the heap. The one place events are queued, so
+  // the heap push stays inlined on the hot path.
+  void enqueue(TimePoint t, std::uint64_t seq, MoveFn<void()>&& fn);
+
   std::vector<std::unique_ptr<MoveFn<void()>[]>> chunks_;
   std::uint32_t slab_size_ = 0;
   std::vector<std::uint32_t> free_;
@@ -154,7 +168,11 @@ class Engine {
   // preserves their seq order, and every heap entry at the same virtual
   // time was inserted earlier (while now_ was smaller), so draining the
   // heap's now_-entries before the FIFO reproduces (time, seq) order
-  // exactly at O(1) per event instead of O(log n).
+  // exactly at O(1) per event instead of O(log n). at_reserved() keeps the
+  // argument intact: its event carries an older seq but is pushed while
+  // now_ is still before its time, so when now_ reaches that time it sits
+  // in the heap with every other entry it must precede, and anything in
+  // the FIFO then was scheduled later and holds a larger seq.
   std::vector<std::uint32_t> today_;
   std::size_t today_head_ = 0;
   TimePoint now_;

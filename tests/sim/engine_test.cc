@@ -187,5 +187,71 @@ TEST(Engine, YieldRunsBehindQueuedEvents) {
   EXPECT_EQ(order, (std::vector<int>{1, 0, 3}));
 }
 
+// Reservations made in one script and plain at() calls made at the same
+// points in another must pop in the same order, including against
+// same-time FIFO traffic at the target instant.
+TEST(Engine, ReservedSeqOrdersLikeImmediateSchedule) {
+  const TimePoint target = TimePoint::from_ns(100);
+  const auto script = [&](Engine& e, bool reserve, std::vector<int>& log) {
+    // Each event at the target logs itself and queues a same-time
+    // follow-up, so the FIFO is busy while the heap drains the instant.
+    const auto ev = [&e, &log](int id) {
+      return [&e, &log, id] {
+        log.push_back(id);
+        e.after(Duration::zero(), [&log, id] { log.push_back(1000 + id); });
+      };
+    };
+    e.at(target, ev(1));
+    std::uint64_t r2 = 0, r4 = 0;
+    if (reserve) {
+      r2 = e.reserve_seq();
+    } else {
+      e.at(target, ev(2));
+    }
+    e.at(target, ev(3));
+    e.after(Duration::ns(10), [&, reserve] {
+      if (reserve) {
+        r4 = e.reserve_seq();
+      } else {
+        e.at(target, ev(4));
+      }
+      e.at(target, ev(5));
+      e.after(Duration::zero(), [&, reserve] {
+        e.at(target, ev(6));
+        // Both reservations land late, at a time between their
+        // reservation points and the target.
+        e.after(Duration::ns(40), [&, reserve] {
+          if (reserve) {
+            e.at_reserved(target, r4, ev(4));
+            e.at_reserved(target, r2, ev(2));
+          }
+          e.at(target, ev(7));
+        });
+      });
+    });
+    e.run();  // inside the script: the callbacks refer to its locals
+  };
+  Engine immediate, deferred;
+  std::vector<int> want, got;
+  script(immediate, false, want);
+  script(deferred, true, got);
+  ASSERT_EQ(want.size(), 14u);
+  EXPECT_EQ(want, (std::vector<int>{1, 2, 3, 4, 5, 6, 7, 1001, 1002, 1003, 1004, 1005, 1006,
+                                    1007}));
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(deferred.now(), target);
+}
+
+TEST(Engine, AtReservedRejectsTheCurrentInstantAndThePast) {
+  Engine e;
+  e.after(Duration::ms(1), [&] {
+    const std::uint64_t seq = e.reserve_seq();
+    EXPECT_THROW(e.at_reserved(e.now(), seq, [] {}), std::logic_error);
+    EXPECT_THROW(e.at_reserved(TimePoint::from_ns(0), seq, [] {}), std::logic_error);
+    e.at_reserved(e.now() + Duration::ns(1), seq, [] {});
+  });
+  EXPECT_EQ(e.run(), 2u);
+}
+
 }  // namespace
 }  // namespace tio::sim
