@@ -34,8 +34,8 @@ ctest --preset asan -j "$jobs" -R \
 echo "==> chaos + raft suites under ASan/UBSan (fault injection, retry, failover)"
 ctest --preset asan -j "$jobs" -R '^(Chaos|FaultPlan|FaultyFsTest|RetryPolicy|RetryBudget|Timeout|Status|RaftTest)\.'
 
-echo "==> metadata batch + lease-cache suites under ASan/UBSan"
-ctest --preset asan -j "$jobs" -R '^(MetaBatch|MetaCache|MetaCacheSimPfs)\.'
+echo "==> metadata batch + lease-cache + mutation-route suites under ASan/UBSan"
+ctest --preset asan -j "$jobs" -R '^(MetaBatch|MetaCache|MetaCacheSimPfs|MetaPath)\.'
 
 echo "==> collective-buffering suites under ASan/UBSan (pipeline, sieving, node plan)"
 ctest --preset asan -j "$jobs" -R '^(CbDifferential|CbSieve|CbNodePlan|CbWrite|CbRead|CbAggregators)\.'
@@ -59,8 +59,8 @@ TIO_MATRIX_RANKS=512 TIO_SHARDS_OVERSUBSCRIBE=1 ctest --preset tsan -j "$jobs" -
 
 # The batcher and lease cache run inside every shard's engine when fig7 is
 # sharded; the suites must stay clean under TSan alongside the engine.
-echo "==> metadata batch + lease-cache suites under TSan"
-TIO_SHARDS_OVERSUBSCRIBE=1 ctest --preset tsan -j "$jobs" -R '^(MetaBatch|MetaCache|MetaCacheSimPfs)\.'
+echo "==> metadata batch + lease-cache + mutation-route suites under TSan"
+TIO_SHARDS_OVERSUBSCRIBE=1 ctest --preset tsan -j "$jobs" -R '^(MetaBatch|MetaCache|MetaCacheSimPfs|MetaPath)\.'
 
 # The collective layer's sharded-counter writes (message census, sieve
 # stats) run on every shard thread; the differential suite under TSan pins

@@ -20,8 +20,8 @@ struct BatchCounters {
   Counter& flush_linger = counter("pfs.batch.flush_linger");
   Counter& failures = counter("pfs.batch.failures");
   // Client->MDS round trips that carry mutations: the denominator of the
-  // batching win (one per legacy dir_mutation/create RPC and raft submit,
-  // one per flushed batch regardless of its size).
+  // batching win (one per per-op directory insert or create RPC and
+  // unbatched raft submit, one per flushed batch regardless of its size).
   Counter& mutation_round_trips = counter("pfs.meta.mutation_round_trips");
 };
 
@@ -37,6 +37,11 @@ const trace::SpanSite& batch_flush_site() {
   return site;
 }
 
+// Log-entry size of one mutation, as replicated.
+std::uint64_t command_bytes(const MetaCommand& mc) {
+  return 48 + mc.path.size() + mc.path2.size();
+}
+
 }  // namespace
 
 std::string_view mds_replication_name(MdsReplication m) {
@@ -47,40 +52,36 @@ std::string_view mds_replication_name(MdsReplication m) {
   return "?";
 }
 
-// The replicated state machine: MetaCommands applied to ns_ at commit.
-// apply() runs exactly once per committed index group-wide (the Raft layer
-// guarantees it), so the creates counter and object table mutations happen
-// once no matter how many replicas or client retries were involved.
+// The replicated state machine: MetaBatches applied to ns_ at commit (an
+// unbatched mutation travels as a batch of one). apply() runs exactly once
+// per committed index group-wide (the Raft layer guarantees it), so the
+// creates counter and object table mutations happen once no matter how
+// many replicas or client retries were involved.
 struct SimPfs::MetaSm : raft::StateMachine {
   explicit MetaSm(SimPfs& fs) : fs(fs) {}
 
   std::any apply(raft::Index, const std::any& cmd) override {
     if (!cmd.has_value()) return {};  // leader no-op barrier entry
-    if (const auto* batch = std::any_cast<MetaBatch>(&cmd)) {
-      // One committed entry, N mutations: the amortization the batch path
-      // buys. Entries apply in submission order; each one is individually
-      // idempotent, so re-applying a duplicated batch is harmless.
-      applied_ops += batch->cmds.size();
-      MetaBatchApply out;
-      out.results.reserve(batch->cmds.size());
-      for (const MetaCommand& mc : batch->cmds) out.results.push_back(fs.apply_meta(mc));
-      return out;
-    }
-    const auto& mc = std::any_cast<const MetaCommand&>(cmd);
-    ++applied_ops;
-    return fs.apply_meta(mc);
+    // One committed entry, N mutations: the amortization the batch path
+    // buys. Entries apply in submission order; each one is individually
+    // idempotent, so re-applying a duplicated batch is harmless.
+    const auto& batch = std::any_cast<const MetaBatch&>(cmd);
+    applied_ops += batch.cmds.size();
+    MetaBatchApply out;
+    out.results.reserve(batch.cmds.size());
+    for (const MetaCommand& mc : batch.cmds) out.results.push_back(fs.apply_meta(mc));
+    return out;
   }
 
   Duration apply_service(const std::any& cmd) const override {
     if (!cmd.has_value()) return Duration::zero();
-    if (const auto* batch = std::any_cast<MetaBatch>(&cmd)) {
-      // The replication round is amortized; the per-entry MDS service time
-      // is not — every insert still pays the directory-degraded cost.
-      Duration d = Duration::zero();
-      for (const MetaCommand& mc : batch->cmds) d += fs.meta_service(mc);
-      return d;
+    // The replication round is amortized; the per-entry MDS service time
+    // is not — every insert still pays the directory-degraded cost.
+    Duration d = Duration::zero();
+    for (const MetaCommand& mc : std::any_cast<const MetaBatch&>(cmd).cmds) {
+      d += fs.meta_service(mc);
     }
-    return fs.meta_service(std::any_cast<const MetaCommand&>(cmd));
+    return d;
   }
 
   std::uint64_t snapshot_bytes() const override { return 4096 + 128 * applied_ops; }
@@ -134,29 +135,28 @@ MetaApply SimPfs::apply_meta(const MetaCommand& mc) {
   return out;
 }
 
+Duration SimPfs::dir_cost(std::string_view dir) const {
+  const std::uint64_t entries = ns_.dir_entry_count(dir);
+  const double degrade =
+      1.0 + static_cast<double>(entries) / static_cast<double>(config_.dir_degrade_entries);
+  return Duration::seconds(config_.dir_insert_time.to_seconds() * degrade);
+}
+
 Duration SimPfs::meta_service(const MetaCommand& mc) const {
-  // Same serialized-insert degradation as the unreplicated dir_mutation
-  // path: the log already serializes mutations, but each one still costs
+  // Same serialized-insert degradation as the per-op path: a batch or the
+  // log already serializes mutations, but each one still costs
   // directory-size-dependent MDS service time.
-  const auto dir_cost = [&](const std::string& p) {
-    const std::string parent(path_dirname(p));
-    const std::uint64_t entries = ns_.dir_entry_count(parent);
-    const double degrade = 1.0 + static_cast<double>(entries) /
-                                     static_cast<double>(config_.dir_degrade_entries);
-    return Duration::seconds(config_.dir_insert_time.to_seconds() * degrade);
-  };
+  const std::string_view parent = path_dirname(mc.path);
   switch (mc.kind) {
     case MetaCommand::Kind::create:
-      return dir_cost(mc.path) + config_.mds_create_time;
+      return dir_cost(parent) + config_.mds_create_time;
     case MetaCommand::Kind::rename: {
-      Duration d = dir_cost(mc.path);
-      if (path_dirname(mc.path) != path_dirname(mc.path2)) {
-        d = d + dir_cost(mc.path2);
-      }
+      Duration d = dir_cost(parent);
+      if (parent != path_dirname(mc.path2)) d = d + dir_cost(path_dirname(mc.path2));
       return d;
     }
     default:
-      return dir_cost(mc.path);
+      return dir_cost(parent);
   }
 }
 
@@ -311,39 +311,80 @@ sim::Task<Status> SimPfs::mds_op(IoCtx ctx, std::string_view dir_path, Duration 
   co_return Status::Ok();
 }
 
-sim::Task<void> SimPfs::dir_mutation(IoCtx ctx, std::string dir_path) {
-  bc().mutation_round_trips.add();
-  sim::Mutex& mu = dir_mutex(dir_path);
-  co_await mu.lock();
-  const std::uint64_t entries = ns_.dir_entry_count(dir_path);
-  const double degrade =
-      1.0 + static_cast<double>(entries) / static_cast<double>(config_.dir_degrade_entries);
-  const auto service = Duration::seconds(config_.dir_insert_time.to_seconds() * degrade);
-  const Status st = co_await mds_op(ctx, dir_path, service);
-  (void)st;  // unreplicated mds_op cannot fail
-  mu.unlock();
-}
-
-sim::Task<Result<MetaApply>> SimPfs::raft_submit(IoCtx ctx, std::string_view group_path,
-                                                 MetaCommand cmd) {
-  ++stats_.metadata_ops;
-  bc().mutation_round_trips.add();
-  const std::uint64_t bytes = 48 + cmd.path.size() + cmd.path2.size();
-  raft::Group& group = *raft_groups_[mds_of_path(group_path)];
+sim::Task<Result<std::vector<MetaApply>>> SimPfs::raft_submit(IoCtx ctx, std::size_t g,
+                                                              MetaBatch batch,
+                                                              std::uint64_t bytes) {
+  const std::size_t n = batch.cmds.size();
   TIO_CO_ASSIGN_OR_RETURN(std::shared_ptr<const std::any> result,
-                          co_await group.submit(ctx.node, ctx.rank,
-                                                std::any(std::move(cmd)), bytes));
-  if (!result || !result->has_value()) {
+                          co_await raft_groups_[g]->submit(ctx.node, ctx.rank,
+                                                           std::any(std::move(batch)), bytes));
+  const auto* applied = result ? std::any_cast<MetaBatchApply>(result.get()) : nullptr;
+  if (applied == nullptr || applied->results.size() != n) {
     co_return error(Errc::io_error, "raft: malformed apply result");
   }
-  co_return std::any_cast<MetaApply>(*result);
+  co_return applied->results;
+}
+
+sim::Task<Result<MetaApply>> SimPfs::mutate(IoCtx ctx, MetaCommand cmd) {
+  using Kind = MetaCommand::Kind;
+  if (config_.mds_batch > 0 &&
+      (cmd.kind == Kind::create || cmd.kind == Kind::mkdir || cmd.kind == Kind::unlink)) {
+    // Batched: coalesced with other mutations bound for this group, applied
+    // as one idempotent batch command, acked with this entry's own outcome.
+    const std::size_t g = mds_of_path(path_dirname(cmd.path));
+    return batch_submit(ctx, g, std::move(cmd));
+  }
+  if (replicated()) return raft_mutate(ctx, std::move(cmd));
+  return per_op_mutate(ctx, std::move(cmd));
+}
+
+sim::Task<Result<MetaApply>> SimPfs::raft_mutate(IoCtx ctx, MetaCommand cmd) {
+  // Acked only after the group leader committed and applied it: the
+  // caller's existence checks are advisory, the apply inside the log is
+  // authoritative. A rename routes by its source path, everything else by
+  // the parent directory.
+  const bool rename = cmd.kind == MetaCommand::Kind::rename;
+  const std::size_t g = mds_of_path(rename ? std::string_view(cmd.path) : path_dirname(cmd.path));
+  // Cross-group renames would need a two-group transaction; the realm
+  // model (one volume = one namespace) never produces them, so reject
+  // rather than silently half-apply.
+  if (rename && g != mds_of_path(cmd.path2)) {
+    co_return error(Errc::invalid,
+                    "rename across metadata groups: " + cmd.path + " -> " + cmd.path2);
+  }
+  ++stats_.metadata_ops;
+  bc().mutation_round_trips.add();
+  const std::uint64_t bytes = command_bytes(cmd);
+  MetaBatch one;
+  one.cmds.push_back(std::move(cmd));
+  TIO_CO_ASSIGN_OR_RETURN(std::vector<MetaApply> results,
+                          co_await raft_submit(ctx, g, std::move(one), bytes));
+  co_return std::move(results.front());
+}
+
+sim::Task<Result<MetaApply>> SimPfs::per_op_mutate(IoCtx ctx, MetaCommand cmd) {
+  const std::string_view dirs[] = {path_dirname(cmd.path), path_dirname(cmd.path2)};
+  const bool two_dirs = cmd.kind == MetaCommand::Kind::rename && dirs[0] != dirs[1];
+  for (std::size_t i = 0; i < (two_dirs ? 2 : 1); ++i) {
+    // The directory's serialized insert lock, held across one MDS visit
+    // whose service degrades as the directory grows.
+    bc().mutation_round_trips.add();
+    sim::Mutex& mu = dir_mutex(std::string(dirs[i]));
+    co_await mu.lock();
+    const Status st = co_await mds_op(ctx, dirs[i], dir_cost(dirs[i]));
+    (void)st;  // unreplicated mds_op cannot fail
+    mu.unlock();
+  }
+  if (cmd.kind == MetaCommand::Kind::create) {
+    bc().mutation_round_trips.add();
+    TIO_CO_RETURN_IF_ERROR(co_await mds_op(ctx, dirs[0], config_.mds_create_time));
+  }
+  co_return apply_meta(cmd);
 }
 
 // ------------------------------------------------- batched mutation client
 
-sim::Task<Result<MetaApply>> SimPfs::batch_submit(IoCtx ctx, std::string_view group_path,
-                                                  MetaCommand cmd) {
-  const std::size_t g = mds_of_path(group_path);
+sim::Task<Result<MetaApply>> SimPfs::batch_submit(IoCtx ctx, std::size_t g, MetaCommand cmd) {
   std::shared_ptr<PendingBatch>& slot = forming_[g];
   if (!slot) {
     slot = std::make_shared<PendingBatch>(engine());
@@ -393,19 +434,13 @@ sim::Task<void> SimPfs::run_batch(std::size_t g, std::shared_ptr<PendingBatch> p
     // One Raft command carries the whole batch: one replication round, one
     // commit-wait, N applied mutations with per-entry outcomes.
     std::uint64_t bytes = 32;
-    for (const MetaCommand& mc : pending->batch.cmds) {
-      bytes += 48 + mc.path.size() + mc.path2.size();
-    }
-    auto result = co_await raft_groups_[g]->submit(pending->ctx.node, pending->ctx.rank,
-                                                   std::any(std::move(pending->batch)), bytes);
-    if (!result.ok()) {
+    for (const MetaCommand& mc : pending->batch.cmds) bytes += command_bytes(mc);
+    auto results = co_await raft_submit(pending->ctx, g, std::move(pending->batch), bytes);
+    if (!results.ok()) {
       bc().failures.add();
-      pending->fail = result.status();
-    } else if (!*result || !(*result)->has_value()) {
-      bc().failures.add();
-      pending->fail = error(Errc::io_error, "raft: malformed batch apply result");
+      pending->fail = results.status();
     } else {
-      pending->results = std::any_cast<const MetaBatchApply&>(**result).results;
+      pending->results = std::move(*results);
       pending->done = true;
     }
   } else {
@@ -486,43 +521,11 @@ sim::Task<Result<FileId>> SimPfs::open(IoCtx ctx, std::string path, OpenFlags fl
       TIO_CO_RETURN_IF_ERROR(co_await mds_op(ctx, parent, config_.mds_open_time));
       co_return error(Errc::not_found, "parent: " + parent);
     }
-    if (config_.mds_batch > 0) {
-      // Batched create: coalesced with other mutations bound for this
-      // group, applied as one idempotent batch command, acked with this
-      // entry's own outcome.
-      MetaCommand cmd;
-      cmd.kind = MetaCommand::Kind::create;
-      cmd.path = path;
-      cmd.excl = flags.excl;
-      TIO_CO_ASSIGN_OR_RETURN(MetaApply applied,
-                              co_await batch_submit(ctx, parent, std::move(cmd)));
-      TIO_CO_RETURN_IF_ERROR(applied.status);
-      oid = applied.oid;
-    } else if (replicated()) {
-      // The create is acked only after the group leader committed and
-      // applied it — the existence checks above are advisory, the apply
-      // inside the log is authoritative.
-      MetaCommand cmd;
-      cmd.kind = MetaCommand::Kind::create;
-      cmd.path = path;
-      cmd.excl = flags.excl;
-      TIO_CO_ASSIGN_OR_RETURN(MetaApply applied, co_await raft_submit(ctx, parent, std::move(cmd)));
-      TIO_CO_RETURN_IF_ERROR(applied.status);
-      oid = applied.oid;
-    } else {
-      co_await dir_mutation(ctx, parent);
-      bc().mutation_round_trips.add();
-      TIO_CO_RETURN_IF_ERROR(co_await mds_op(ctx, parent, config_.mds_create_time));
-      auto created = ns_.create_file(path, flags.excl);
-      if (!created.ok()) co_return created.status();
-      oid = created->oid;
-      if (created->created) {
-        ++stats_.creates;
-        Object& o = object(oid);
-        o.mtime = engine().now();
-      }
-      if (meta_cache_) meta_cache_->invalidate(path);
-    }
+    MetaCommand cmd{
+        .kind = MetaCommand::Kind::create, .path = std::move(path), .excl = flags.excl};
+    TIO_CO_ASSIGN_OR_RETURN(MetaApply applied, co_await mutate(ctx, std::move(cmd)));
+    TIO_CO_RETURN_IF_ERROR(applied.status);
+    oid = applied.oid;
   }
 
   const FileId id = next_file_id_++;
@@ -696,9 +699,8 @@ sim::Task<Result<FragmentList>> SimPfs::read(IoCtx ctx, FileId file, std::uint64
   co_return o.data.read(offset, len);
 }
 
-// Routes one mutation kind: replicated deployments go through the group's
-// log (the apply result carries the namespace's answer), unreplicated ones
-// run the serialized dir_mutation and mutate ns_ directly.
+// The namespace mutations: each builds one MetaCommand and takes mutate()'s
+// route; the apply result carries the namespace's answer.
 sim::Task<Status> SimPfs::mkdir(IoCtx ctx, std::string path) {
   path = path_normalize(path);
   const std::string parent(path_dirname(path));
@@ -706,92 +708,29 @@ sim::Task<Status> SimPfs::mkdir(IoCtx ctx, std::string path) {
     TIO_CO_RETURN_IF_ERROR(co_await mds_op(ctx, parent, config_.mds_open_time));
     co_return error(Errc::not_found, "parent: " + parent);
   }
-  if (config_.mds_batch > 0) {
-    MetaCommand cmd;
-    cmd.kind = MetaCommand::Kind::mkdir;
-    cmd.path = path;
-    TIO_CO_ASSIGN_OR_RETURN(MetaApply applied, co_await batch_submit(ctx, parent, std::move(cmd)));
-    co_return applied.status;
-  }
-  if (replicated()) {
-    MetaCommand cmd;
-    cmd.kind = MetaCommand::Kind::mkdir;
-    cmd.path = path;
-    TIO_CO_ASSIGN_OR_RETURN(MetaApply applied, co_await raft_submit(ctx, parent, std::move(cmd)));
-    co_return applied.status;
-  }
-  co_await dir_mutation(ctx, parent);
-  if (meta_cache_) meta_cache_->invalidate(path);
-  co_return ns_.mkdir(path);
+  MetaCommand cmd{.kind = MetaCommand::Kind::mkdir, .path = std::move(path)};
+  TIO_CO_ASSIGN_OR_RETURN(MetaApply applied, co_await mutate(ctx, std::move(cmd)));
+  co_return applied.status;
 }
 
 sim::Task<Status> SimPfs::rmdir(IoCtx ctx, std::string path) {
-  path = path_normalize(path);
-  const std::string parent(path_dirname(path));
-  if (replicated()) {
-    MetaCommand cmd;
-    cmd.kind = MetaCommand::Kind::rmdir;
-    cmd.path = path;
-    TIO_CO_ASSIGN_OR_RETURN(MetaApply applied, co_await raft_submit(ctx, parent, std::move(cmd)));
-    co_return applied.status;
-  }
-  co_await dir_mutation(ctx, parent);
-  if (meta_cache_) meta_cache_->invalidate(path);
-  co_return ns_.rmdir(path);
+  MetaCommand cmd{.kind = MetaCommand::Kind::rmdir, .path = path_normalize(path)};
+  TIO_CO_ASSIGN_OR_RETURN(MetaApply applied, co_await mutate(ctx, std::move(cmd)));
+  co_return applied.status;
 }
 
 sim::Task<Status> SimPfs::unlink(IoCtx ctx, std::string path) {
-  path = path_normalize(path);
-  const std::string parent(path_dirname(path));
-  if (config_.mds_batch > 0) {
-    MetaCommand cmd;
-    cmd.kind = MetaCommand::Kind::unlink;
-    cmd.path = path;
-    TIO_CO_ASSIGN_OR_RETURN(MetaApply applied, co_await batch_submit(ctx, parent, std::move(cmd)));
-    co_return applied.status;
-  }
-  if (replicated()) {
-    MetaCommand cmd;
-    cmd.kind = MetaCommand::Kind::unlink;
-    cmd.path = path;
-    TIO_CO_ASSIGN_OR_RETURN(MetaApply applied, co_await raft_submit(ctx, parent, std::move(cmd)));
-    co_return applied.status;
-  }
-  co_await dir_mutation(ctx, parent);
-  if (meta_cache_) meta_cache_->invalidate(path);
-  auto removed = ns_.unlink(path);
-  if (!removed.ok()) co_return removed.status();
-  objects_.erase(removed.value());
-  co_return Status::Ok();
+  MetaCommand cmd{.kind = MetaCommand::Kind::unlink, .path = path_normalize(path)};
+  TIO_CO_ASSIGN_OR_RETURN(MetaApply applied, co_await mutate(ctx, std::move(cmd)));
+  co_return applied.status;
 }
 
 sim::Task<Status> SimPfs::rename(IoCtx ctx, std::string from, std::string to) {
-  from = path_normalize(from);
-  to = path_normalize(to);
-  if (replicated()) {
-    // Cross-group renames would need a two-group transaction; the realm
-    // model (one volume = one namespace) never produces them, so reject
-    // rather than silently half-apply.
-    if (mds_of_path(from) != mds_of_path(to)) {
-      co_return error(Errc::invalid, "rename across metadata groups: " + from + " -> " + to);
-    }
-    MetaCommand cmd;
-    cmd.kind = MetaCommand::Kind::rename;
-    cmd.path = from;
-    cmd.path2 = to;
-    TIO_CO_ASSIGN_OR_RETURN(MetaApply applied,
-                            co_await raft_submit(ctx, std::string_view(from), std::move(cmd)));
-    co_return applied.status;
-  }
-  co_await dir_mutation(ctx, std::string(path_dirname(from)));
-  if (path_dirname(from) != path_dirname(to)) {
-    co_await dir_mutation(ctx, std::string(path_dirname(to)));
-  }
-  if (meta_cache_) {
-    meta_cache_->invalidate(from);
-    meta_cache_->invalidate(to);
-  }
-  co_return ns_.rename(from, to);
+  MetaCommand cmd{.kind = MetaCommand::Kind::rename,
+                  .path = path_normalize(from),
+                  .path2 = path_normalize(to)};
+  TIO_CO_ASSIGN_OR_RETURN(MetaApply applied, co_await mutate(ctx, std::move(cmd)));
+  co_return applied.status;
 }
 
 sim::Task<Result<StatInfo>> SimPfs::stat(IoCtx ctx, std::string path) {

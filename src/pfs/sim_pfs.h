@@ -37,13 +37,13 @@ namespace tio::pfs {
 
 struct FaultPlan;
 
-// The replicated metadata command vocabulary: what a Raft group's log
-// entries carry, applied to the namespace at commit.
+// The metadata mutation vocabulary: every client mutation is one of these,
+// applied to the namespace by SimPfs::apply_meta whichever route it takes.
 struct MetaCommand {
   enum class Kind { create, mkdir, rmdir, unlink, rename };
   Kind kind = Kind::create;
   std::string path;
-  std::string path2;  // rename destination
+  std::string path2{};  // rename destination
   bool excl = false;
 };
 
@@ -56,11 +56,11 @@ struct MetaApply {
 
 // A batch of mutations bound for one metadata group, coalesced client-side
 // and applied as ONE log entry (replicated) or one amortized round trip
-// (unreplicated). Idempotent as a unit for the same reason the single
-// commands are: every entry's apply tolerates re-execution (create returns
-// the existing object, mkdir/unlink report exists/not_found), and the Raft
-// layer's group-wide applied index already guarantees exactly-once apply
-// per committed index.
+// (unreplicated). The only Raft command type: an unbatched replicated
+// mutation is a batch of one. Idempotent as a unit because every entry's
+// apply tolerates re-execution (create returns the existing object,
+// mkdir/unlink report exists/not_found), and the Raft layer's group-wide
+// applied index already guarantees exactly-once apply per committed index.
 struct MetaBatch {
   std::vector<MetaCommand> cmds;
 };
@@ -165,18 +165,32 @@ class SimPfs : public FsClient {
   Object& object(ObjectId oid);
   Result<OpenFile*> handle(FileId file);
   sim::Mutex& dir_mutex(const std::string& dir);
-  // Applies one mutation to the namespace (shared by the replicated state
-  // machine, the batch path, and nothing else — legacy unreplicated paths
-  // keep their historical inline form). Invalidate-on-mutation for the
+  // The one mutation route behind create/mkdir/rmdir/unlink/rename: with
+  // mds_batch > 0, create/mkdir/unlink go to batch_submit; otherwise to
+  // raft_mutate when replicated, else to per_op_mutate. A plain router,
+  // not a coroutine, so a mutation adds only its route's frame.
+  sim::Task<Result<MetaApply>> mutate(IoCtx ctx, MetaCommand cmd);
+  // Replicated: a one-entry MetaBatch through the group's log. Renames
+  // route by source path and are rejected across groups; the rest route
+  // by parent directory.
+  sim::Task<Result<MetaApply>> raft_mutate(IoCtx ctx, MetaCommand cmd);
+  // Unreplicated, unbatched: each touched directory's insert lock held
+  // across one MDS visit (batches and the log serialize at the server
+  // instead), a create's extra MDS round trip, then apply_meta.
+  sim::Task<Result<MetaApply>> per_op_mutate(IoCtx ctx, MetaCommand cmd);
+  // Applies one mutation to the namespace: the only code that changes ns_
+  // for a client op, whether called by the replicated state machine, the
+  // unreplicated batch, or the per-op path. Invalidate-on-mutation for the
   // client metadata cache happens here.
   MetaApply apply_meta(const MetaCommand& cmd);
+  // MDS service time of one insert into `dir`, degraded by its size.
+  Duration dir_cost(std::string_view dir) const;
   // MDS service time of one mutation (directory-degraded insert cost).
   Duration meta_service(const MetaCommand& cmd) const;
-  // Enqueues `cmd` into the forming batch of its metadata group and waits
+  // Enqueues `cmd` into the forming batch of metadata group g and waits
   // for the flushed batch's per-entry outcome. Only called when
   // config_.mds_batch > 0.
-  sim::Task<Result<MetaApply>> batch_submit(IoCtx ctx, std::string_view group_path,
-                                            MetaCommand cmd);
+  sim::Task<Result<MetaApply>> batch_submit(IoCtx ctx, std::size_t g, MetaCommand cmd);
   void flush_batch(std::size_t g);
   sim::Task<void> run_batch(std::size_t g, std::shared_ptr<PendingBatch> pending);
   // True when a valid lease for (node, path) exists; misses are counted.
@@ -186,14 +200,10 @@ class SimPfs : public FsClient {
   // never fails; replicated it is a leader read and can surface
   // Errc::busy when the group has no reachable leader.
   sim::Task<Status> mds_op(IoCtx ctx, std::string_view dir_path, Duration service);
-  // Namespace mutation under the directory's serialized insert lock, with
-  // size-dependent degradation (unreplicated path only — replicated
-  // mutations serialize through the group's log instead).
-  sim::Task<void> dir_mutation(IoCtx ctx, std::string dir_path);
-  // Replicated mutation: routes `cmd` through the namespace's Raft group
-  // and returns the applied outcome.
-  sim::Task<Result<MetaApply>> raft_submit(IoCtx ctx, std::string_view group_path,
-                                           MetaCommand cmd);
+  // Submits `batch` (`bytes` on the wire) to metadata group g's Raft log
+  // and returns the per-entry applied outcomes.
+  sim::Task<Result<std::vector<MetaApply>>> raft_submit(IoCtx ctx, std::size_t g,
+                                                        MetaBatch batch, std::uint64_t bytes);
   sim::Task<void> acquire_write_locks(IoCtx ctx, Object& obj, std::uint64_t offset,
                                       std::uint64_t len);
   // Physical transfer of [offset, offset+len) of `oid`: storage network +

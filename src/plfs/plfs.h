@@ -99,6 +99,20 @@ class Plfs {
   friend class ReadHandle;
 
   sim::Task<Status> ensure_container_skeleton(pfs::IoCtx ctx, const ContainerLayout& layout);
+  // Runs independent metadata legs, each a callable returning
+  // sim::Task<Status>, in list order. Without meta_batching each leg is
+  // awaited in turn and the first failure stops the rest; with it, all
+  // legs are issued at once (so the client-side batcher can coalesce their
+  // mutations) and the first failure in list order is returned once every
+  // leg finished. A leg's coroutine is made only when it starts.
+  template <typename... Legs>
+  sim::Task<Status> run_legs(Legs... legs);
+  // Legs: create `path` and close it again (an exclusive create tolerates
+  // `exists`: another rank made it); open a log for writing into `*fd`;
+  // unlink `path`, treating already-gone as success.
+  sim::Task<Status> create_and_close(pfs::IoCtx ctx, std::string path, pfs::OpenFlags flags);
+  sim::Task<Status> open_log(pfs::IoCtx ctx, std::string path, pfs::FileId* fd);
+  sim::Task<Status> unlink_gone(pfs::IoCtx ctx, std::string path);
   // Creates the shadow chain + subdir.k on an explicit backend (the
   // federation-ring walk of open_write probes these in order).
   sim::Task<Status> ensure_subdir_on(pfs::IoCtx ctx, const ContainerLayout& lay, std::size_t k,

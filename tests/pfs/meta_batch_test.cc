@@ -1,5 +1,6 @@
 // Batched create/mkdir/unlink RPCs: namespace equivalence with the per-op
-// path (both replication modes), per-entry statuses inside one batch,
+// path for every mutation kind (both replication modes), per-entry
+// statuses inside one batch,
 // linger flushes, and the round-trip amortization the batching exists for.
 #include <gtest/gtest.h>
 
@@ -156,7 +157,7 @@ TEST(MetaBatch, BatchedMkdirAndUnlinkMatchLegacy) {
     for (const std::size_t batch : {std::size_t{0}, std::size_t{8}}) {
       SCOPED_TRACE(batch == 0 ? "legacy" : "batched");
       World w(batch, replicated);
-      test::run_task(w.engine, [](SimPfs& fs) -> sim::Task<void> {
+      test::run_task(w.engine, [](SimPfs& fs, bool raft) -> sim::Task<void> {
         const IoCtx ctx{0, 0};
         EXPECT_TRUE((co_await fs.mkdir(ctx, "/home")).ok());
         EXPECT_TRUE((co_await fs.mkdir(ctx, "/home/sub")).ok());
@@ -167,9 +168,33 @@ TEST(MetaBatch, BatchedMkdirAndUnlinkMatchLegacy) {
         EXPECT_TRUE((co_await fs.unlink(ctx, "/home/sub/f")).ok());
         EXPECT_EQ((co_await fs.unlink(ctx, "/home/sub/f")).code(), Errc::not_found);
         EXPECT_EQ((co_await fs.mkdir(ctx, "/home")).code(), Errc::exists);
-      }(w.fs));
+
+        // The kinds that never batch: rmdir of a non-empty and an empty
+        // directory, renames within and across directories, and a rename
+        // across metadata groups (/vol0 and /vol1 are groups 0 and 1),
+        // which a replicated service rejects for want of a cross-log
+        // transaction and a federated one applies.
+        EXPECT_TRUE((co_await fs.mkdir(ctx, "/vol0")).ok());
+        EXPECT_TRUE((co_await fs.mkdir(ctx, "/vol1")).ok());
+        EXPECT_TRUE((co_await fs.mkdir(ctx, "/vol0/a")).ok());
+        EXPECT_TRUE((co_await fs.mkdir(ctx, "/vol0/b")).ok());
+        auto g = co_await fs.open(ctx, "/vol0/a/g", OpenFlags::wr_create_excl());
+        EXPECT_TRUE(g.ok()) << g.status();
+        if (!g.ok()) co_return;
+        EXPECT_TRUE((co_await fs.close(ctx, *g)).ok());
+        EXPECT_EQ((co_await fs.rmdir(ctx, "/vol0/a")).code(), Errc::not_empty);
+        EXPECT_TRUE((co_await fs.rename(ctx, "/vol0/a/g", "/vol0/a/h")).ok());
+        EXPECT_TRUE((co_await fs.rename(ctx, "/vol0/a/h", "/vol0/b/h")).ok());
+        EXPECT_TRUE((co_await fs.rmdir(ctx, "/vol0/a")).ok());
+        EXPECT_EQ((co_await fs.rename(ctx, "/vol0/b/h", "/vol1/h")).code(),
+                  raft ? Errc::invalid : Errc::ok);
+      }(w.fs, replicated));
       EXPECT_TRUE(w.fs.ns().lookup("/home/sub").ok());
       EXPECT_FALSE(w.fs.ns().lookup("/home/sub/f").ok());
+      EXPECT_FALSE(w.fs.ns().lookup("/vol0/a").ok());
+      EXPECT_FALSE(w.fs.ns().lookup("/vol0/a/g").ok());
+      EXPECT_EQ(w.fs.ns().lookup("/vol0/b/h").ok(), replicated);
+      EXPECT_EQ(w.fs.ns().lookup("/vol1/h").ok(), !replicated);
     }
   }
 }

@@ -574,5 +574,24 @@ TEST(Chaos, RaftRejectsCrossGroupRename) {
   }(w));
 }
 
+// open_write's independent creates run as one leg list. Unbatched, the
+// first permanent failure (the index log, blocked by a directory at its
+// path) stops the later legs; batched, every leg is issued, and the index
+// log's failure is still the one reported.
+TEST(Chaos, OpenWriteLegFailureStopsOrDrainsByMode) {
+  for (const bool batching : {false, true}) {
+    SCOPED_TRACE(batching ? "batched" : "unbatched");
+    ChaosWorld w("none", /*replicated=*/false, batching ? 8 : 0);
+    const int rank = 3;
+    const ContainerLayout lay = w.plfs.layout("/legs");
+    const std::size_t home = lay.subdir_backend(lay.subdir_of_rank(rank));
+    ASSERT_TRUE(w.base.ns().mkdir_all(lay.index_log_path_on(rank, home)).ok());
+    auto opened = test::run_task(w.engine, w.plfs.open_write({3, rank}, "/legs", rank));
+    ASSERT_FALSE(opened.ok());
+    EXPECT_EQ(opened.status().code(), Errc::is_a_directory);
+    EXPECT_EQ(w.base.ns().lookup(lay.openhost_record_path(rank)).ok(), batching);
+  }
+}
+
 }  // namespace
 }  // namespace tio::plfs
