@@ -183,6 +183,38 @@ void BM_ExtentMapAppendCoalesce(benchmark::State& state) {
 }
 BENCHMARK(BM_ExtentMapAppendCoalesce)->Arg(10000);
 
+// ckpt_n1's data-log shape: an N-1 strided checkpoint through PLFS gives
+// each of 512 writers its own log whose records sit a stride apart in
+// logical offset, so they never coalesce (one extent per record). Writes
+// 500 such appends into each of 512 maps, then reads every record back
+// once in order, as the restart does.
+void BM_ExtentMapStridedLogs(benchmark::State& state) {
+  const auto logs = static_cast<std::size_t>(state.range(0));
+  const auto records = static_cast<std::uint64_t>(state.range(1));
+  constexpr std::uint64_t kRecord = 16384;
+  const std::uint64_t stride = kRecord * logs;
+  for (auto _ : state) {
+    std::vector<pfs::ExtentMap> maps(logs);
+    for (std::uint64_t r = 0; r < records; ++r) {
+      for (std::size_t w = 0; w < logs; ++w) {
+        const std::uint64_t off = r * stride + w * kRecord;
+        maps[w].write(off, DataView::pattern(w, off, kRecord));
+      }
+    }
+    std::uint64_t bytes = 0;
+    for (std::uint64_t r = 0; r < records; ++r) {
+      for (std::size_t w = 0; w < logs; ++w) {
+        bytes += maps[w].read(r * stride + w * kRecord, kRecord).size();
+      }
+    }
+    benchmark::DoNotOptimize(bytes);
+    if (maps[0].extent_count() != records) std::abort();  // no coalescing
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0) *
+                          state.range(1));
+}
+BENCHMARK(BM_ExtentMapStridedLogs)->Args({512, 500});
+
 }  // namespace
 }  // namespace tio::sim
 

@@ -37,6 +37,9 @@ ctest --preset asan -j "$jobs" -R '^(Chaos|FaultPlan|FaultyFsTest|RetryPolicy|Re
 echo "==> metadata batch + lease-cache + mutation-route suites under ASan/UBSan"
 ctest --preset asan -j "$jobs" -R '^(MetaBatch|MetaCache|MetaCacheSimPfs|MetaPath)\.'
 
+echo "==> extent-store suites under ASan/UBSan (two-level store vs the std::map oracle)"
+ctest --preset asan -j "$jobs" -R '(^|/)(ExtentMap|ExtentMapProperty|ExtentMapOracle)\.'
+
 echo "==> collective-buffering suites under ASan/UBSan (pipeline, sieving, node plan)"
 ctest --preset asan -j "$jobs" -R '^(CbDifferential|CbSieve|CbNodePlan|CbWrite|CbRead|CbAggregators)\.'
 

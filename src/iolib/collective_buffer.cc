@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <stdexcept>
 #include <utility>
 
 #include "common/stats.h"
@@ -109,11 +110,13 @@ void merge_range(std::map<std::uint64_t, std::uint64_t>& runs, std::uint64_t s,
   runs[ns] = ne;
 }
 
-// Drains an extent map into its coalesced runs as chunks.
-std::vector<CbChunk> chunks_of(pfs::ExtentMap& map) {
+// An extent map's coalesced runs as chunks.
+std::vector<CbChunk> chunks_of(const pfs::ExtentMap& map) {
   std::vector<CbChunk> out;
   out.reserve(map.extent_count());
-  for (const auto& [off, view] : map.extents()) out.push_back(CbChunk{off, view});
+  map.for_each([&out](std::uint64_t off, const DataView& view) {
+    out.push_back(CbChunk{off, view});
+  });
   return out;
 }
 
@@ -125,10 +128,15 @@ int my_aggregator_slot(const mpi::Comm& comm, const std::vector<int>& aggs) {
   return -1;
 }
 
+bool same_node(const mpi::Comm& comm, int a, int b) {
+  const std::vector<int>& node_of = comm.layout().node_of;
+  return node_of[static_cast<std::size_t>(a)] == node_of[static_cast<std::size_t>(b)];
+}
+
 // Classifies and counts one payload message from the caller to `dst`;
 // `data_bytes` feeds bytes_shipped when the hop crosses nodes.
 void note_msg(const mpi::Comm& comm, int dst, std::uint64_t data_bytes) {
-  if (comm.my_node() == comm.node_of_rank(dst)) {
+  if (same_node(comm, comm.rank(), dst)) {
     cbc().local_msgs.add();
   } else {
     cbc().fabric_msgs.add();
@@ -139,7 +147,7 @@ void note_msg(const mpi::Comm& comm, int dst, std::uint64_t data_bytes) {
 // Counts the binomial-gather traffic of one comm.gather toward `root`, and
 // the caller's data contribution when it lives off the root's node.
 void note_gather(const mpi::Comm& comm, int root, std::uint64_t my_data_bytes) {
-  if (comm.my_node() != comm.node_of_rank(root)) cbc().bytes_shipped.add(my_data_bytes);
+  if (!same_node(comm, comm.rank(), root)) cbc().bytes_shipped.add(my_data_bytes);
   if (comm.rank() == root) {
     std::uint64_t intra = 0;
     std::uint64_t inter = 0;
@@ -199,7 +207,11 @@ int cb_num_aggregators(const CbConfig& config, const mpi::Comm& comm) {
 std::vector<int> cb_aggregator_ranks(const CbConfig& config, const mpi::Comm& comm,
                                      int num_aggregators) {
   if (config.rack_aware_placement) {
-    return NodePlan::build(comm).rack_aware_aggregators(num_aggregators);
+    if (num_aggregators < 1 || num_aggregators > comm.size()) {
+      throw std::invalid_argument("cb_aggregator_ranks: bad aggregator count");
+    }
+    const std::vector<int>& spread = comm.layout().rack_spread;
+    return std::vector<int>(spread.begin(), spread.begin() + num_aggregators);
   }
   std::vector<int> aggs(static_cast<std::size_t>(num_aggregators));
   for (int j = 0; j < num_aggregators; ++j) {
@@ -303,9 +315,10 @@ sim::Task<Status> cb_write(mpi::Comm& comm, const CbConfig& config, std::vector<
       }
     }
   } else {
-    const NodePlan plan = NodePlan::build(comm);
+    const mpi::NodeLayout& layout = comm.layout();
     const int me = comm.rank();
-    const int leader = plan.leader_of(plan.my_node);
+    const int my_node = layout.node_of[static_cast<std::size_t>(me)];
+    const int leader = layout.leader_of(my_node);
     const int my_j = my_aggregator_slot(comm, aggs);
 
     // Phase 0: co-residents hand their per-aggregator chunk lists to the
@@ -332,7 +345,7 @@ sim::Task<Status> cb_write(mpi::Comm& comm, const CbConfig& config, std::vector<
             merged[j].write(c.offset, std::move(c.data));
           }
         }
-        const std::vector<int>& residents = plan.members[plan.my_node];
+        const std::vector<int>& residents = layout.members[static_cast<std::size_t>(my_node)];
         for (std::size_t i = 1; i < residents.size(); ++i) {
           auto theirs = co_await comm.recv<std::vector<std::vector<CbChunk>>>(
               residents[i], kCbTagIntraW);
@@ -366,8 +379,8 @@ sim::Task<Status> cb_write(mpi::Comm& comm, const CbConfig& config, std::vector<
       }
       if (my_j >= 0) {
         i_aggregate = true;
-        for (int node = 0; node < plan.num_nodes(); ++node) {
-          auto part = co_await comm.recv<std::vector<CbChunk>>(plan.leader_of(node),
+        for (int node = 0; node < layout.num_nodes(); ++node) {
+          auto part = co_await comm.recv<std::vector<CbChunk>>(layout.leader_of(node),
                                                                kCbTagShipW + my_j);
           for (auto& c : part) staged.write(c.offset, std::move(c.data));
         }
@@ -380,14 +393,17 @@ sim::Task<Status> cb_write(mpi::Comm& comm, const CbConfig& config, std::vector<
   {
     trace::Span pfs(engine, kPfs, grank);
     if (i_aggregate) {
-      for (const auto& [off, view] : staged.extents()) {
+      // A named local: the loop body suspends (DESIGN.md §5k).
+      const std::vector<CbChunk> runs = chunks_of(staged);
+      for (const CbChunk& run : runs) {
         cbc().write_runs.add();
         std::uint64_t pos = 0;
-        while (pos < view.size()) {
+        while (pos < run.data.size()) {
           const std::uint64_t take = std::min<std::uint64_t>(config.buffer_bytes,
-                                                             view.size() - pos);
+                                                             run.data.size() - pos);
           cbc().pfs_ops.add();
-          TIO_CO_RETURN_IF_ERROR(co_await write_at(off + pos, view.slice(pos, take)));
+          TIO_CO_RETURN_IF_ERROR(
+              co_await write_at(run.offset + pos, run.data.slice(pos, take)));
           pos += take;
         }
       }
@@ -516,9 +532,10 @@ sim::Task<Status> cb_read(mpi::Comm& comm, const CbConfig& config, std::vector<C
       }
     }
   } else {
-    const NodePlan plan = NodePlan::build(comm);
+    const mpi::NodeLayout& layout = comm.layout();
     const int me = comm.rank();
-    const int leader = plan.leader_of(plan.my_node);
+    const int my_node = layout.node_of[static_cast<std::size_t>(me)];
+    const int leader = layout.leader_of(my_node);
     const int my_j = my_aggregator_slot(comm, aggs);
     // Members keep their piece lists: the leader replies with slices in
     // the same flattened (j-ascending, then list) order.
@@ -552,7 +569,7 @@ sim::Task<Status> cb_read(mpi::Comm& comm, const CbConfig& config, std::vector<C
         note_msg(comm, leader, 0);
         co_await comm.send(leader, kCbTagIntraR, std::move(outgoing), pieces * 24);
       } else {
-        const std::vector<int>& residents = plan.members[plan.my_node];
+        const std::vector<int>& residents = layout.members[static_cast<std::size_t>(my_node)];
         member_pieces.resize(residents.size());
         member_pieces[0] = std::move(outgoing);
         for (std::size_t i = 1; i < residents.size(); ++i) {
@@ -590,10 +607,10 @@ sim::Task<Status> cb_read(mpi::Comm& comm, const CbConfig& config, std::vector<C
         }
       }
       if (my_j >= 0) {
-        agg_requests.resize(plan.num_nodes());
-        for (int node = 0; node < plan.num_nodes(); ++node) {
+        agg_requests.resize(layout.num_nodes());
+        for (int node = 0; node < layout.num_nodes(); ++node) {
           agg_requests[node] = co_await comm.recv<std::vector<CbRange>>(
-              plan.leader_of(node), kCbTagShipR + my_j);
+              layout.leader_of(node), kCbTagShipR + my_j);
         }
       }
     }
@@ -613,7 +630,7 @@ sim::Task<Status> cb_read(mpi::Comm& comm, const CbConfig& config, std::vector<C
     {
       trace::Span reply_span(engine, kReply, grank);
       if (my_j >= 0) {
-        for (int node = 0; node < plan.num_nodes(); ++node) {
+        for (int node = 0; node < layout.num_nodes(); ++node) {
           if (agg_requests[node].empty()) continue;
           std::vector<FragmentList> reply;
           reply.reserve(agg_requests[node].size());
@@ -622,8 +639,8 @@ sim::Task<Status> cb_read(mpi::Comm& comm, const CbConfig& config, std::vector<C
             reply.push_back(staged.read(r.offset, r.len));
             reply_bytes += reply.back().size();
           }
-          note_msg(comm, plan.leader_of(node), reply_bytes);
-          co_await comm.send(plan.leader_of(node), kCbTagAggReply + my_j,
+          note_msg(comm, layout.leader_of(node), reply_bytes);
+          co_await comm.send(layout.leader_of(node), kCbTagAggReply + my_j,
                              std::move(reply), reply_bytes);
         }
       }
@@ -642,7 +659,7 @@ sim::Task<Status> cb_read(mpi::Comm& comm, const CbConfig& config, std::vector<C
             }
           }
         }
-        const std::vector<int>& residents = plan.members[plan.my_node];
+        const std::vector<int>& residents = layout.members[static_cast<std::size_t>(my_node)];
         for (std::size_t i = 1; i < residents.size(); ++i) {
           std::vector<FragmentList> slices;
           std::uint64_t bytes = 0;

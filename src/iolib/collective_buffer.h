@@ -55,11 +55,12 @@ struct CbConfig {
   // sieve_threshold x its useful bytes. 0 disables sieving (pure list
   // I/O over the merged runs).
   double sieve_threshold = 0.0;
-  // Place aggregators rack-aware (NodePlan::rack_aware_aggregators) instead
-  // of the classic even stride. Off by default: the default placement (and
-  // hence wire pattern) matches the pre-topology layer bit-for-bit. Only
-  // changes behaviour under rack geometries where the stride and the rack
-  // boundaries misalign.
+  // Place aggregators rack-aware (the head of the comm's
+  // NodeLayout::rack_spread, mpisim/comm.h) instead of the classic even
+  // stride. Off by default: the default placement (and hence wire pattern)
+  // matches the pre-topology layer bit-for-bit. Only changes behaviour
+  // under rack geometries where the stride and the rack boundaries
+  // misalign.
   bool rack_aware_placement = false;
 };
 

@@ -1,79 +1,10 @@
 #include "iolib/node_agg.h"
 
-#include <stdexcept>
-#include <unordered_map>
-
 namespace tio::iolib {
-
-NodePlan NodePlan::build(const mpi::Comm& comm) {
-  NodePlan plan;
-  const int n = comm.size();
-  plan.node_of.resize(n);
-  std::unordered_map<std::size_t, int> dense;  // physical node -> dense id
-  dense.reserve(static_cast<std::size_t>(n));
-  for (int r = 0; r < n; ++r) {
-    const std::size_t phys = comm.node_of_rank(r);
-    auto [it, inserted] = dense.emplace(phys, static_cast<int>(plan.members.size()));
-    if (inserted) {
-      plan.members.emplace_back();
-      plan.rack_of.push_back(static_cast<int>(comm.rack_of_rank(r)));
-    }
-    plan.node_of[r] = it->second;
-    plan.members[it->second].push_back(r);
-  }
-  plan.my_node = plan.node_of[comm.rank()];
-  plan.my_rack = plan.rack_of[plan.my_node];
-  return plan;
-}
-
-std::vector<int> NodePlan::rack_aware_aggregators(int num_aggs) const {
-  int total = 0;
-  for (const auto& m : members) total += static_cast<int>(m.size());
-  if (num_aggs < 1 || num_aggs > total) {
-    throw std::invalid_argument("rack_aware_aggregators: bad aggregator count");
-  }
-  // Racks in first-appearance order (dense node ids are already in
-  // first-appearance order, so a scan preserves it).
-  std::vector<int> racks;                       // distinct racks, appearance order
-  std::vector<std::vector<int>> rack_nodes;     // rack slot -> dense node ids
-  std::unordered_map<int, int> rack_slot;
-  for (int node = 0; node < num_nodes(); ++node) {
-    auto [it, inserted] = rack_slot.emplace(rack_of[node], static_cast<int>(racks.size()));
-    if (inserted) {
-      racks.push_back(rack_of[node]);
-      rack_nodes.emplace_back();
-    }
-    rack_nodes[it->second].push_back(node);
-  }
-  // Per-rack candidate order: every node's leader first, then every node's
-  // second rank, and so on — aggregators land on distinct nodes as long as
-  // the rack has nodes to spare.
-  std::vector<std::vector<int>> candidates(racks.size());
-  for (std::size_t s = 0; s < racks.size(); ++s) {
-    std::size_t depth = 0;
-    for (bool any = true; any; ++depth) {
-      any = false;
-      for (const int node : rack_nodes[s]) {
-        if (depth < members[node].size()) {
-          candidates[s].push_back(members[node][depth]);
-          any = true;
-        }
-      }
-    }
-  }
-  // Deal aggregator slots round-robin across racks.
-  std::vector<int> aggs;
-  aggs.reserve(static_cast<std::size_t>(num_aggs));
-  std::vector<std::size_t> next(racks.size(), 0);
-  for (std::size_t s = 0; aggs.size() < static_cast<std::size_t>(num_aggs);
-       s = (s + 1) % racks.size()) {
-    if (next[s] < candidates[s].size()) aggs.push_back(candidates[s][next[s]++]);
-  }
-  return aggs;
-}
 
 void count_binomial_gather(const mpi::Comm& comm, int root, std::uint64_t* intra,
                            std::uint64_t* inter) {
+  const std::vector<int>& node_of = comm.layout().node_of;
   const int n = comm.size();
   // Virtual rank v sends exactly once, to parent v - lowbit(v) (see
   // Comm::gather); translate back to comm ranks and classify by node.
@@ -81,7 +12,7 @@ void count_binomial_gather(const mpi::Comm& comm, int root, std::uint64_t* intra
     const int src = (v + root) % n;
     const int parent = v - (v & -v);
     const int dst = (parent + root) % n;
-    if (comm.node_of_rank(src) == comm.node_of_rank(dst)) {
+    if (node_of[static_cast<std::size_t>(src)] == node_of[static_cast<std::size_t>(dst)]) {
       ++*intra;
     } else {
       ++*inter;

@@ -9,49 +9,17 @@
 // coalesces its co-residents' requests, so the fabric then carries
 // `nodes x aggregators` messages instead of `ranks x aggregators`.
 //
-// This header holds the placement bookkeeping that phase needs: a NodePlan
-// (who lives where, who leads each node) computed purely from the
-// communicator's placement knowledge (mpi::Comm::node_of_rank — no
-// communication), plus the message-census helper the observability
-// counters use to classify a binomial gather's traffic without re-running
-// it.
+// Who lives where, and who leads each node, is the communicator's
+// mpi::NodeLayout (Comm::layout), built once when the group forms. This
+// header holds the message-census helper the observability counters use
+// to classify a binomial gather's traffic without re-running it.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "mpisim/comm.h"
 
 namespace tio::iolib {
-
-// Node-locality view of a communicator. Node ids are dense indices over
-// the distinct physical nodes the comm's ranks occupy, in order of first
-// appearance by comm rank (block placement makes that ascending physical
-// order). The leader of a node is its lowest comm rank.
-struct NodePlan {
-  std::vector<int> node_of;                // comm rank -> dense node id
-  std::vector<std::vector<int>> members;   // node id -> comm ranks, ascending
-  std::vector<int> rack_of;                // dense node id -> physical rack
-  int my_node = 0;                         // dense node id of the caller
-  int my_rack = 0;                         // physical rack of the caller
-
-  static NodePlan build(const mpi::Comm& comm);
-
-  int num_nodes() const { return static_cast<int>(members.size()); }
-  int leader_of(int node) const { return members[node][0]; }
-  int leader_of_rank(int rank) const { return leader_of(node_of[rank]); }
-  bool is_leader(int rank) const { return leader_of_rank(rank) == rank; }
-
-  // Rack-locality-aware aggregator placement: `num_aggs` distinct comm
-  // ranks spread as evenly as possible across the racks the comm touches
-  // (round-robin over racks in first-appearance order), and within a rack
-  // over its nodes (leaders first, then seconds, ...). Keeps aggregator
-  // fan-in balanced per ToR uplink, so an oversubscribed uplink is not hit
-  // with the whole exchange at once the way classic stride placement
-  // (cb_aggregator_rank) can when its stride aligns with rack boundaries.
-  // Deterministic; requires 1 <= num_aggs <= comm size.
-  std::vector<int> rack_aware_aggregators(int num_aggs) const;
-};
 
 // Message census of a binomial gather rooted at `root` over `comm`: every
 // non-root rank sends exactly once (to its virtual-tree parent), so the

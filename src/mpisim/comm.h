@@ -33,6 +33,31 @@ T checked_any_cast(std::any payload, const char* where) {
 }
 }  // namespace detail
 
+// Node-locality view of a communicator's group: which node and rack each
+// comm rank lives on. Placement is knowledge every rank holds locally, so
+// the view needs no communication. It is built once when the group forms
+// (Comm::world once per runtime, Comm::split once per new group), is
+// immutable after, and every rank of the group reads the same copy. Node
+// ids are dense indices over the distinct physical nodes the group
+// occupies, in order of first appearance by comm rank (block placement
+// makes that ascending physical order). A node's leader is its lowest
+// comm rank.
+struct NodeLayout {
+  std::vector<int> node_of;               // comm rank -> dense node id
+  std::vector<std::vector<int>> members;  // dense node id -> comm ranks, ascending
+  std::vector<int> rack_of;               // dense node id -> physical rack
+  // Every comm rank, spread across racks: round-robin over the racks the
+  // group touches (first-appearance order), and within a rack over its
+  // nodes (leaders first, then seconds, ...). Its first k entries are the
+  // k rack-aware collective-buffering aggregators: fan-in stays balanced
+  // per ToR uplink, and aggregators land on distinct nodes while a rack
+  // has nodes to spare.
+  std::vector<int> rack_spread;
+
+  int num_nodes() const { return static_cast<int>(members.size()); }
+  int leader_of(int node) const { return members[static_cast<std::size_t>(node)][0]; }
+};
+
 class Comm {
  public:
   // World communicator for `rank`.
@@ -42,20 +67,16 @@ class Comm {
   int size() const { return static_cast<int>(group_->members.size()); }
   int global_rank() const { return group_->members[my_index_]; }
   std::size_t my_node() const { return rt_->node_of(global_rank()); }
-  // Node hosting comm rank `r`. Placement is deterministic knowledge every
-  // rank holds locally (block placement), so consulting it is free — the
-  // topology-aware layers (intra-node collective aggregation) key off it.
-  std::size_t node_of_rank(int r) const {
-    check_rank(r);
-    return rt_->node_of(group_->members[r]);
-  }
-  // Rack hosting comm rank `r` — same local-knowledge contract as
-  // node_of_rank; rack geometry comes from ClusterConfig::rack_of_node.
+  // Physical rack hosting comm rank `r`. Placement is deterministic
+  // knowledge every rank holds locally (block placement), so consulting it
+  // is free; rack geometry comes from ClusterConfig::rack_of_node.
   std::size_t rack_of_rank(int r) const {
     check_rank(r);
     return rt_->rack_of(group_->members[r]);
   }
-  std::size_t my_rack() const { return rt_->rack_of(global_rank()); }
+  // The group's node-locality view (NodeLayout above); the topology-aware
+  // layers (intra-node collective aggregation) key off it.
+  const NodeLayout& layout() const { return group_->layout; }
   Runtime& runtime() const { return *rt_; }
   sim::Engine& engine() const { return rt_->engine(); }
   // Mailbox context id (unique per communicator); diagnostics only.
@@ -98,6 +119,7 @@ class Comm {
   struct Group {
     std::uint64_t context;
     std::vector<int> members;  // global ranks, comm order
+    NodeLayout layout;
   };
   Comm(Runtime& rt, std::shared_ptr<const Group> group, int my_index)
       : rt_(&rt), group_(std::move(group)), my_index_(my_index) {}

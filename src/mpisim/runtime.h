@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "common/flat_map.h"
@@ -73,8 +74,16 @@ class Runtime {
   std::vector<sim::Queue<std::any>*> idle_queues_;
   // Comm::world's group is identical for every rank; building it per rank
   // would be O(nprocs^2). Stored type-erased to avoid a header cycle with
-  // comm.h (only Comm::world touches it).
+  // comm.h (only Comm::world and Comm::split touch these).
   std::shared_ptr<const void> world_group_;
+  // Comm::split's groups in formation, by context: the first member to
+  // form a group builds it (members and node layout) and leaves it here
+  // for the `waiting` members still to come; the last one takes it out.
+  struct PendingGroup {
+    std::shared_ptr<const void> group;
+    std::size_t waiting = 0;
+  };
+  std::unordered_map<std::uint64_t, PendingGroup> pending_groups_;
 };
 
 // Runs an SPMD job: spawns `nprocs` rank coroutines (each receiving its own

@@ -1,68 +1,208 @@
 #include "pfs/extent_map.h"
 
 #include <algorithm>
+#include <iterator>
 
 namespace tio::pfs {
 
-void ExtentMap::write(std::uint64_t offset, DataView data) {
-  if (data.empty()) return;
-  const std::uint64_t end = offset + data.size();
-
-  // Find the first extent that could overlap: the one at or before offset.
-  auto it = extents_.upper_bound(offset);
-  if (it != extents_.begin()) {
-    auto prev = std::prev(it);
-    const std::uint64_t prev_end = prev->first + prev->second.size();
-    if (prev_end > offset) {
-      // prev straddles the write start; keep its left part, and if it
-      // extends past the write end, keep the right part too.
-      DataView old = prev->second;
-      const std::uint64_t prev_start = prev->first;
-      prev->second = old.slice(0, offset - prev_start);
-      if (prev_end > end) {
-        extents_.emplace(end, old.slice(end - prev_start, prev_end - end));
-      }
-    }
+ExtentMap::Pos ExtentMap::lower(std::uint64_t off) const {
+  // The last leaf starting at or before off holds every candidate except,
+  // when all of its extents start below off, the next leaf's first.
+  std::size_t li = 0;
+  if (!starts_.empty()) {
+    const auto leaf_it = std::upper_bound(starts_.begin(), starts_.end(), off);
+    if (leaf_it == starts_.begin()) return {0, 0};
+    li = static_cast<std::size_t>(leaf_it - starts_.begin()) - 1;
+  } else if (leaves_.empty()) {
+    return {0, 0};
   }
-  // Remove or trim extents starting inside [offset, end).
-  it = extents_.lower_bound(offset);
-  while (it != extents_.end() && it->first < end) {
-    const std::uint64_t ext_start = it->first;
-    const std::uint64_t ext_end = ext_start + it->second.size();
-    if (ext_end <= end) {
-      it = extents_.erase(it);
-    } else {
-      // Tail survives.
-      DataView tail = it->second.slice(end - ext_start, ext_end - end);
-      extents_.erase(it);
-      extents_.emplace(end, std::move(tail));
-      break;
-    }
-  }
+  const Leaf& leaf = leaves_[li];
+  const auto slot_it = std::lower_bound(
+      leaf.begin(), leaf.end(), off,
+      [](const Extent& e, std::uint64_t o) { return e.offset < o; });
+  if (slot_it == leaf.end()) return {li + 1, 0};
+  return {li, static_cast<std::size_t>(slot_it - leaf.begin())};
+}
 
-  // Insert, coalescing with byte-continuation neighbours.
-  std::uint64_t ins_off = offset;
-  DataView ins = std::move(data);
-  auto next = extents_.lower_bound(ins_off);
-  if (next != extents_.begin()) {
-    auto prev = std::prev(next);
-    if (prev->first + prev->second.size() == ins_off && prev->second.continues_with(ins)) {
-      prev->second.extend(ins.size());
-      // Try to further coalesce with next.
-      if (next != extents_.end() && ins_off + ins.size() == next->first &&
-          prev->second.continues_with(next->second)) {
-        prev->second.extend(next->second.size());
-        extents_.erase(next);
-      }
+ExtentMap::Pos ExtentMap::before(Pos p) const {
+  if (p.slot > 0) return {p.leaf, p.slot - 1};
+  return {p.leaf - 1, leaves_[p.leaf - 1].size() - 1};
+}
+
+void ExtentMap::append(std::uint64_t offset, DataView data) {
+  if (!leaves_.empty()) {
+    Leaf& last_leaf = leaves_.back();
+    Extent& last = last_leaf.back();
+    if (last.end() == offset && last.data.continues_with(data)) {
+      last.data.extend(data.size());
+      return;
+    }
+    if (last_leaf.size() < kLeafCap) {
+      last_leaf.push_back(Extent{offset, std::move(data)});
       return;
     }
   }
-  if (next != extents_.end() && ins_off + ins.size() == next->first &&
-      ins.continues_with(next->second)) {
-    ins.extend(next->second.size());
-    extents_.erase(next);
+  // A full last leaf means a long append stream: give the next leaf its
+  // whole capacity at once.
+  Leaf leaf;
+  if (!leaves_.empty()) leaf.reserve(kLeafCap);
+  leaf.push_back(Extent{offset, std::move(data)});
+  insert_leaf(leaves_.size(), std::move(leaf));
+}
+
+void ExtentMap::insert_leaf(std::size_t li, Leaf leaf) {
+  if (starts_.empty() && !leaves_.empty()) starts_.push_back(leaves_.front().front().offset);
+  const std::uint64_t start = leaf.front().offset;
+  leaves_.insert(leaves_.begin() + static_cast<std::ptrdiff_t>(li), std::move(leaf));
+  if (leaves_.size() > 1) starts_.insert(starts_.begin() + static_cast<std::ptrdiff_t>(li), start);
+}
+
+void ExtentMap::erase_leaves(std::size_t first, std::size_t last) {
+  leaves_.erase(leaves_.begin() + static_cast<std::ptrdiff_t>(first),
+                leaves_.begin() + static_cast<std::ptrdiff_t>(last));
+  if (leaves_.size() < 2) {
+    starts_.clear();
+  } else {
+    starts_.erase(starts_.begin() + static_cast<std::ptrdiff_t>(first),
+                  starts_.begin() + static_cast<std::ptrdiff_t>(last));
   }
-  extents_.emplace(ins_off, std::move(ins));
+}
+
+void ExtentMap::write(std::uint64_t offset, DataView data) {
+  if (data.empty()) return;
+  if (offset >= high_water()) {
+    append(offset, std::move(data));
+    return;
+  }
+  const std::uint64_t end = offset + data.size();
+
+  // [lo, hi) holds the extents starting inside [offset, end): all of them
+  // go, except that the last one's part past `end` survives. The extent
+  // before lo may straddle `offset` (and `end` too).
+  const Pos lo = lower(offset);
+  Pos hi = lo;  // usually lo itself or a few slots on, so scan lo's leaf first
+  while (!at_end(hi) && at(hi).offset < end) {
+    if (++hi.slot == leaves_[hi.leaf].size()) {
+      hi = lower(end);
+      break;
+    }
+  }
+  Pos a = lo;
+  Pos b = hi;
+  const bool has_prev = lo.leaf > 0 || lo.slot > 0;
+  const Pos prev = has_prev ? before(lo) : Pos{};
+
+  // `left` is the kept extent just before the write, `right` the part of
+  // an overwritten extent past `end`.
+  Extent left;
+  Extent right;
+  bool has_left = false;
+  bool has_right = false;
+  if (has_prev && at(prev).end() > offset) {
+    const Extent& p = at(prev);
+    a = prev;
+    has_left = true;
+    left = Extent{p.offset, p.data.slice(0, offset - p.offset)};
+    if (p.end() > end) {
+      has_right = true;
+      right = Extent{end, p.data.slice(end - p.offset, p.end() - end)};
+    }
+  } else if (has_prev && at(prev).end() == offset && at(prev).data.continues_with(data)) {
+    // An untouched neighbour that the new data continues joins the range
+    // so that it can be extended below.
+    a = prev;
+    has_left = true;
+    left = std::move(at(prev));
+  }
+  if (!has_right && (lo.leaf != hi.leaf || lo.slot != hi.slot)) {
+    const Extent& q = at(before(hi));
+    if (q.end() > end) {
+      has_right = true;
+      right = Extent{end, q.data.slice(end - q.offset, q.end() - end)};
+    }
+  }
+
+  // Coalesce with byte-continuation neighbours: first onto the left
+  // extent, then the right neighbour (the surviving tail, or an untouched
+  // extent starting exactly at `end`) onto whatever now ends at `end`.
+  const bool next_untouched = !has_right && !at_end(hi) && at(hi).offset == end;
+  DataView* const next = has_right ? &right.data : next_untouched ? &at(hi).data : nullptr;
+  Extent out[3];
+  std::size_t n = 0;
+  if (has_left && left.data.continues_with(data)) {
+    left.data.extend(data.size());
+    out[n++] = std::move(left);
+  } else {
+    if (has_left) out[n++] = std::move(left);
+    out[n++] = Extent{offset, std::move(data)};
+  }
+  DataView& tail = out[n - 1].data;  // the extent now ending at `end`
+  if (next != nullptr && tail.continues_with(*next)) {
+    tail.extend(next->size());
+    if (has_right) {
+      has_right = false;
+    } else {
+      b = hi.slot + 1 < leaves_[hi.leaf].size() ? Pos{hi.leaf, hi.slot + 1} : Pos{hi.leaf + 1, 0};
+    }
+  }
+  if (has_right) out[n++] = std::move(right);
+  replace(a, b, out, n);
+}
+
+void ExtentMap::replace(Pos a, Pos b, Extent* out, std::size_t n) {
+  if (b.leaf == a.leaf || (b.leaf == a.leaf + 1 && b.slot == 0)) {
+    const std::size_t to = b.leaf == a.leaf ? b.slot : leaves_[a.leaf].size();
+    splice(a.leaf, a.slot, to, out, n);
+    return;
+  }
+  // The range spans leaves: drop the head of b's leaf, the whole leaves in
+  // between, then splice the tail of a's leaf.
+  if (!at_end(b) && b.slot > 0) {
+    Leaf& last = leaves_[b.leaf];
+    last.erase(last.begin(), last.begin() + static_cast<std::ptrdiff_t>(b.slot));
+    refresh_start(b.leaf);
+  }
+  erase_leaves(a.leaf + 1, b.leaf);
+  splice(a.leaf, a.slot, leaves_[a.leaf].size(), out, n);
+}
+
+void ExtentMap::splice(std::size_t li, std::size_t from, std::size_t to, Extent* out,
+                       std::size_t n) {
+  const std::size_t k = to - from;
+  if (leaves_[li].size() + n > kLeafCap + k) {
+    // Split before growing, so no leaf ever reallocates past kLeafCap. The
+    // split point is the middle, or `from` when the (at most n-1 long)
+    // replaced range straddles the middle, so that it lands in one half.
+    Leaf& full = leaves_[li];
+    const std::size_t half = full.size() / 2;
+    const std::size_t cut = (from < half && half < to) ? from : half;
+    Leaf upper;
+    upper.reserve(kLeafCap);
+    upper.assign(std::make_move_iterator(full.begin() + static_cast<std::ptrdiff_t>(cut)),
+                 std::make_move_iterator(full.end()));
+    full.erase(full.begin() + static_cast<std::ptrdiff_t>(cut), full.end());
+    insert_leaf(li + 1, std::move(upper));
+    if (from >= cut) {
+      ++li;
+      from -= cut;
+      to -= cut;
+    }
+  }
+  Leaf& leaf = leaves_[li];
+  const auto first = leaf.begin() + static_cast<std::ptrdiff_t>(from);
+  const std::size_t common = std::min(k, n);
+  std::move(out, out + common, first);
+  if (k > n) {
+    leaf.erase(first + static_cast<std::ptrdiff_t>(n), leaf.begin() + static_cast<std::ptrdiff_t>(to));
+  } else if (n > k) {
+    leaf.insert(leaf.begin() + static_cast<std::ptrdiff_t>(to), std::make_move_iterator(out + k),
+                std::make_move_iterator(out + n));
+  }
+  if (leaf.empty()) {
+    erase_leaves(li, li + 1);
+  } else {
+    refresh_start(li);
+  }
 }
 
 FragmentList ExtentMap::read(std::uint64_t offset, std::uint64_t len) const {
@@ -71,22 +211,26 @@ FragmentList ExtentMap::read(std::uint64_t offset, std::uint64_t len) const {
   std::uint64_t pos = offset;
   const std::uint64_t end = offset + len;
 
-  auto it = extents_.upper_bound(pos);
-  if (it != extents_.begin()) {
-    auto prev = std::prev(it);
-    if (prev->first + prev->second.size() > pos) it = prev;
+  Pos p = lower(pos);
+  if (p.leaf > 0 || p.slot > 0) {
+    const Pos prev = before(p);
+    if (at(prev).end() > pos) p = prev;
   }
-  for (; it != extents_.end() && it->first < end; ++it) {
-    const std::uint64_t ext_start = it->first;
-    if (ext_start > pos) {
-      out.append(DataView::zeros(ext_start - pos));  // hole
-      pos = ext_start;
-    }
-    const std::uint64_t take_from = pos - ext_start;
-    const std::uint64_t take = std::min(end, ext_start + it->second.size()) - pos;
-    if (take > 0) {
-      out.append(it->second.slice(take_from, take));
-      pos += take;
+  for (std::size_t li = p.leaf; li < leaves_.size(); ++li) {
+    const Leaf& leaf = leaves_[li];
+    if (leaf.front().offset >= end) break;
+    for (std::size_t si = li == p.leaf ? p.slot : 0; si < leaf.size(); ++si) {
+      const Extent& e = leaf[si];
+      if (e.offset >= end) break;
+      if (e.offset > pos) {
+        out.append(DataView::zeros(e.offset - pos));  // hole
+        pos = e.offset;
+      }
+      const std::uint64_t take = std::min(end, e.end()) - pos;
+      if (take > 0) {
+        out.append(e.data.slice(pos - e.offset, take));
+        pos += take;
+      }
     }
   }
   if (pos < end) out.append(DataView::zeros(end - pos));  // trailing hole
@@ -94,26 +238,30 @@ FragmentList ExtentMap::read(std::uint64_t offset, std::uint64_t len) const {
 }
 
 std::uint64_t ExtentMap::high_water() const {
-  if (extents_.empty()) return 0;
-  const auto& last = *extents_.rbegin();
-  return last.first + last.second.size();
+  return leaves_.empty() ? 0 : leaves_.back().back().end();
 }
 
 void ExtentMap::truncate(std::uint64_t new_size) {
-  auto it = extents_.lower_bound(new_size);
-  if (it != extents_.begin()) {
-    auto prev = std::prev(it);
-    const std::uint64_t prev_end = prev->first + prev->second.size();
-    if (prev_end > new_size) {
-      prev->second = prev->second.slice(0, new_size - prev->first);
-    }
+  const Pos p = lower(new_size);
+  if (p.leaf > 0 || p.slot > 0) {
+    Extent& prev = at(before(p));
+    if (prev.end() > new_size) prev.data = prev.data.slice(0, new_size - prev.offset);
   }
-  extents_.erase(it, extents_.end());
+  if (at_end(p)) return;
+  Leaf& cut = leaves_[p.leaf];
+  cut.erase(cut.begin() + static_cast<std::ptrdiff_t>(p.slot), cut.end());
+  erase_leaves(cut.empty() ? p.leaf : p.leaf + 1, leaves_.size());
+}
+
+std::size_t ExtentMap::extent_count() const {
+  std::size_t n = 0;
+  for (const Leaf& leaf : leaves_) n += leaf.size();
+  return n;
 }
 
 std::uint64_t ExtentMap::backed_bytes() const {
   std::uint64_t total = 0;
-  for (const auto& [off, v] : extents_) total += v.size();
+  for_each([&total](std::uint64_t, const DataView& v) { total += v.size(); });
   return total;
 }
 

@@ -282,11 +282,6 @@ std::size_t SimPfs::mds_of_path(std::string_view path) const {
 
 SimPfs::Object& SimPfs::object(ObjectId oid) { return objects_[oid]; }
 
-const ExtentMap* SimPfs::object_extents(ObjectId oid) const {
-  const auto it = objects_.find(oid);
-  return it == objects_.end() ? nullptr : &it->second.data;
-}
-
 Result<SimPfs::OpenFile*> SimPfs::handle(FileId file) {
   const auto it = open_files_.find(file);
   if (it == open_files_.end()) return error(Errc::bad_handle, str_printf("fd %llu",

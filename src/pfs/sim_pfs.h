@@ -93,8 +93,6 @@ class SimPfs : public FsClient {
   const PfsConfig& config() const { return config_; }
   net::Cluster& cluster() { return cluster_; }
   Namespace& ns() { return ns_; }
-  // Extent map of a file's object; null when unknown.
-  const ExtentMap* object_extents(ObjectId oid) const;
   const sim::FcfsServer& mds(std::size_t i) const { return *mds_[i]; }
   const Ost& ost(std::size_t i) const { return *osts_[i]; }
   std::size_t mds_of_path(std::string_view path) const;

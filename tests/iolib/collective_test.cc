@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "iolib/collective_buffer.h"
-#include "iolib/node_agg.h"
 #include "net/cluster.h"
 #include "pfs/extent_map.h"
 #include "pfs/faulty_fs.h"
@@ -198,12 +197,13 @@ TEST(CbNodePlan, GroupsRanksByNodeWithLowestRankLeading) {
   sim::Engine engine;
   net::Cluster cluster(engine, tiny_cluster());
   mpi::run_spmd(cluster, 16, [](mpi::Comm comm) -> sim::Task<void> {
-    const NodePlan plan = NodePlan::build(comm);
-    EXPECT_EQ(plan.num_nodes(), 4);
-    EXPECT_EQ(plan.my_node, comm.rank() / 4);
-    EXPECT_EQ(plan.leader_of(plan.my_node), (comm.rank() / 4) * 4);
-    EXPECT_EQ(plan.is_leader(comm.rank()), comm.rank() % 4 == 0);
-    EXPECT_EQ(plan.members[plan.my_node].size(), 4u);
+    const mpi::NodeLayout& layout = comm.layout();
+    const int my_node = layout.node_of[static_cast<std::size_t>(comm.rank())];
+    EXPECT_EQ(layout.num_nodes(), 4);
+    EXPECT_EQ(my_node, comm.rank() / 4);
+    EXPECT_EQ(layout.leader_of(my_node), (comm.rank() / 4) * 4);
+    EXPECT_EQ(layout.leader_of(my_node) == comm.rank(), comm.rank() % 4 == 0);
+    EXPECT_EQ(layout.members[static_cast<std::size_t>(my_node)].size(), 4u);
     co_return;
   });
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <numeric>
 
 #include "mpisim/runtime.h"
@@ -201,6 +203,50 @@ TEST(Comm, SplitWithReversedKeysReversesOrder) {
     sub_rank[comm.rank()] = sub.rank();
   });
   for (int r = 0; r < n; ++r) EXPECT_EQ(sub_rank[r], n - 1 - r);
+}
+
+TEST(Comm, SplitGroupsShareOneNodeLayout) {
+  const int n = 32;  // 8 nodes x 4 cores
+  std::vector<const NodeLayout*> seen(n, nullptr);
+  std::vector<std::shared_ptr<Comm>> keep;  // holds the groups until compared
+  spmd(n, [&seen, &keep](Comm comm) -> sim::Task<void> {
+    // Even and odd world ranks: sub rank r is world rank 2r + color, on
+    // node r / 2, so every node holds two members of each group.
+    Comm sub = co_await comm.split(comm.rank() % 2, comm.rank());
+    const NodeLayout& layout = sub.layout();
+    seen[static_cast<std::size_t>(comm.rank())] = &layout;
+    keep.push_back(std::make_shared<Comm>(sub));
+    EXPECT_EQ(layout.num_nodes(), 8);
+    for (int r = 0; r < sub.size(); ++r) {
+      EXPECT_EQ(layout.node_of[static_cast<std::size_t>(r)], r / 2);
+    }
+    EXPECT_EQ(layout.leader_of(3), 6);
+    EXPECT_EQ(layout.members[3], (std::vector<int>{6, 7}));
+  });
+  // The first member to form a group builds it; the others share that copy.
+  for (int r = 2; r < n; ++r) EXPECT_EQ(seen[static_cast<std::size_t>(r)], seen[r % 2]);
+  EXPECT_NE(seen[0], seen[1]);
+}
+
+TEST(Comm, RackSpreadDealsLeadersRoundRobinAcrossRacks) {
+  sim::Engine engine;
+  net::ClusterConfig cfg = test_cluster();
+  cfg.racks = 2;  // nodes 0-3 (ranks 0-15) and 4-7 (ranks 16-31)
+  net::Cluster cluster(engine, cfg);
+  std::vector<int> spread;
+  run_spmd(cluster, 32, [&spread](Comm comm) -> sim::Task<void> {
+    if (comm.rank() == 0) spread = comm.layout().rack_spread;
+    co_return;
+  });
+  ASSERT_EQ(spread.size(), 32u);
+  // Node leaders alternate between the racks, then the second ranks.
+  EXPECT_EQ(std::vector<int>(spread.begin(), spread.begin() + 10),
+            (std::vector<int>{0, 16, 4, 20, 8, 24, 12, 28, 1, 17}));
+  std::vector<int> sorted = spread;
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<int> all(32);
+  std::iota(all.begin(), all.end(), 0);
+  EXPECT_EQ(sorted, all);
 }
 
 TEST(Comm, CollectiveTimesScaleLogarithmically) {
