@@ -2,6 +2,7 @@
 
 #include <cstdarg>
 #include <cstdio>
+#include <utility>
 
 namespace tio {
 
@@ -32,9 +33,11 @@ std::string join(const std::vector<std::string>& parts, std::string_view sep) {
 std::string path_join(std::string_view a, std::string_view b) {
   if (a.empty()) return std::string(b);
   if (b.empty()) return std::string(a);
-  std::string out(a);
-  if (out.back() != '/') out += '/';
   while (!b.empty() && b.front() == '/') b.remove_prefix(1);
+  std::string out;
+  out.reserve(a.size() + 1 + b.size());  // one exact allocation
+  out += a;
+  if (out.back() != '/') out += '/';
   out += b;
   return out;
 }
@@ -53,21 +56,39 @@ std::string_view path_basename(std::string_view p) {
 }
 
 std::string path_normalize(std::string_view p) {
-  std::string out = "/";
-  for (auto part : split(p, '/')) {
-    if (part.empty() || part == ".") continue;
-    if (out.back() != '/') out += '/';
-    out += part;
+  std::string out;
+  out.reserve(p.size() + 1);
+  out += '/';
+  std::string_view comp;
+  for (PathCursor cursor(p); cursor.next(&comp);) {
+    if (out.size() > 1) out += '/';
+    out += comp;
   }
   return out;
 }
 
-std::vector<std::string_view> path_components(std::string_view p) {
-  std::vector<std::string_view> out;
-  for (auto part : split(p, '/')) {
-    if (!part.empty() && part != ".") out.push_back(part);
+namespace {
+
+// True when path_normalize would return `p` unchanged: "/" or a leading
+// slash followed by non-empty, non-"." components and no trailing slash.
+bool path_is_normal(std::string_view p) {
+  if (p.empty() || p.front() != '/') return false;
+  if (p.size() == 1) return true;
+  std::size_t start = 1;
+  while (true) {
+    const std::size_t slash = p.find('/', start);
+    const std::string_view part = p.substr(start, slash - start);
+    if (part.empty() || part == ".") return false;
+    if (slash == std::string_view::npos) return true;
+    start = slash + 1;
   }
-  return out;
+}
+
+}  // namespace
+
+std::string path_normalize(std::string&& p) {
+  if (path_is_normal(p)) return std::move(p);
+  return path_normalize(std::string_view(p));
 }
 
 std::string format_bytes(std::uint64_t bytes) {

@@ -1,6 +1,7 @@
 #include "localfs/mem_fs.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/strutil.h"
 
@@ -14,11 +15,11 @@ sim::Task<Result<FileId>> MemFs::open(pfs::IoCtx ctx, std::string path, pfs::Ope
   if (!flags.read && !flags.write) {
     co_return error(Errc::invalid, "open needs read or write: " + path);
   }
-  path = path_normalize(path);
+  path = path_normalize(std::move(path));
   ObjectId oid = pfs::kNoObject;
-  auto existing = ns_.lookup(path);
-  if (existing.ok() && existing->is_dir) co_return error(Errc::is_a_directory, path);
-  if (existing.ok()) {
+  const auto existing = ns_.probe(path);
+  if (existing && existing->is_dir) co_return error(Errc::is_a_directory, path);
+  if (existing) {
     if (flags.create && flags.excl) co_return error(Errc::exists, path);
     oid = existing->oid;
     if (flags.trunc && flags.write) {
@@ -29,7 +30,7 @@ sim::Task<Result<FileId>> MemFs::open(pfs::IoCtx ctx, std::string path, pfs::Ope
     }
   } else {
     if (!flags.create) co_return error(Errc::not_found, path);
-    if (!ns_.exists(std::string(path_dirname(path)))) {
+    if (!ns_.exists(path_dirname(path))) {
       co_return error(Errc::not_found, "parent: " + std::string(path_dirname(path)));
     }
     auto created = ns_.create_file(path, flags.excl);
@@ -76,8 +77,8 @@ sim::Task<Result<FragmentList>> MemFs::read(pfs::IoCtx ctx, FileId file, std::ui
 
 sim::Task<Status> MemFs::mkdir(pfs::IoCtx ctx, std::string path) {
   (void)ctx;
-  path = path_normalize(path);
-  if (!ns_.exists(std::string(path_dirname(path)))) {
+  path = path_normalize(std::move(path));
+  if (!ns_.exists(path_dirname(path))) {
     co_return error(Errc::not_found, "parent: " + std::string(path_dirname(path)));
   }
   co_return ns_.mkdir(path);
@@ -85,12 +86,12 @@ sim::Task<Status> MemFs::mkdir(pfs::IoCtx ctx, std::string path) {
 
 sim::Task<Status> MemFs::rmdir(pfs::IoCtx ctx, std::string path) {
   (void)ctx;
-  co_return ns_.rmdir(path_normalize(path));
+  co_return ns_.rmdir(path_normalize(std::move(path)));
 }
 
 sim::Task<Status> MemFs::unlink(pfs::IoCtx ctx, std::string path) {
   (void)ctx;
-  auto removed = ns_.unlink(path_normalize(path));
+  auto removed = ns_.unlink(path_normalize(std::move(path)));
   if (!removed.ok()) co_return removed.status();
   objects_.erase(removed.value());
   co_return Status::Ok();
@@ -98,12 +99,12 @@ sim::Task<Status> MemFs::unlink(pfs::IoCtx ctx, std::string path) {
 
 sim::Task<Status> MemFs::rename(pfs::IoCtx ctx, std::string from, std::string to) {
   (void)ctx;
-  co_return ns_.rename(path_normalize(from), path_normalize(to));
+  co_return ns_.rename(path_normalize(std::move(from)), path_normalize(std::move(to)));
 }
 
 sim::Task<Result<pfs::StatInfo>> MemFs::stat(pfs::IoCtx ctx, std::string path) {
   (void)ctx;
-  auto entry = ns_.lookup(path_normalize(path));
+  auto entry = ns_.lookup(path_normalize(std::move(path)));
   if (!entry.ok()) co_return entry.status();
   pfs::StatInfo info;
   info.is_dir = entry->is_dir;
@@ -119,7 +120,7 @@ sim::Task<Result<pfs::StatInfo>> MemFs::stat(pfs::IoCtx ctx, std::string path) {
 
 sim::Task<Result<std::vector<pfs::DirEntry>>> MemFs::readdir(pfs::IoCtx ctx, std::string path) {
   (void)ctx;
-  co_return ns_.readdir(path_normalize(path));
+  co_return ns_.readdir(path_normalize(std::move(path)));
 }
 
 }  // namespace tio::localfs

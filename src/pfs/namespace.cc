@@ -6,7 +6,8 @@ namespace tio::pfs {
 
 const Namespace::Node* Namespace::find(std::string_view path) const {
   const Node* cur = root_.get();
-  for (const auto comp : path_components(path)) {
+  std::string_view comp;
+  for (PathCursor cursor(path); cursor.next(&comp);) {
     if (!cur->is_dir) return nullptr;
     const auto it = cur->children.find(comp);
     if (it == cur->children.end()) return nullptr;
@@ -20,19 +21,24 @@ Namespace::Node* Namespace::find(std::string_view path) {
 }
 
 Result<Namespace::Node*> Namespace::parent_of(std::string_view path, std::string_view* leaf) {
-  const auto comps = path_components(path);
-  if (comps.empty()) return error(Errc::invalid, "root has no parent: " + std::string(path));
+  // One component of lookahead: `comp` is descended into only once another
+  // component follows it, so the last one is left over as the leaf.
+  PathCursor cursor(path);
+  std::string_view comp;
+  if (!cursor.next(&comp)) {
+    return error(Errc::invalid, "root has no parent: " + std::string(path));
+  }
   Node* cur = root_.get();
-  for (std::size_t i = 0; i + 1 < comps.size(); ++i) {
-    if (!cur->is_dir) return error(Errc::not_a_directory, std::string(comps[i]));
-    const auto it = cur->children.find(comps[i]);
+  for (std::string_view ahead; cursor.next(&ahead); comp = ahead) {
+    if (!cur->is_dir) return error(Errc::not_a_directory, std::string(comp));
+    const auto it = cur->children.find(comp);
     if (it == cur->children.end()) {
-      return error(Errc::not_found, "missing path component: " + std::string(comps[i]));
+      return error(Errc::not_found, "missing path component: " + std::string(comp));
     }
     cur = it->second.get();
   }
   if (!cur->is_dir) return error(Errc::not_a_directory, std::string(path));
-  *leaf = comps.back();
+  *leaf = comp;
   return cur;
 }
 
@@ -54,8 +60,14 @@ Result<Namespace::CreateResult> Namespace::create_file(std::string_view path, bo
 }
 
 Result<Namespace::Entry> Namespace::lookup(std::string_view path) const {
+  const auto entry = probe(path);
+  if (!entry) return error(Errc::not_found, std::string(path));
+  return *entry;
+}
+
+std::optional<Namespace::Entry> Namespace::probe(std::string_view path) const {
   const Node* n = find(path);
-  if (n == nullptr) return error(Errc::not_found, std::string(path));
+  if (n == nullptr) return std::nullopt;
   return Entry{n->is_dir, n->oid};
 }
 
@@ -70,15 +82,20 @@ Status Namespace::mkdir(std::string_view path) {
 }
 
 Status Namespace::mkdir_all(std::string_view path) {
-  std::string built = "/";
-  for (const auto comp : path_components(path)) {
-    built = path_join(built, comp);
-    const Node* n = find(built);
-    if (n == nullptr) {
-      TIO_RETURN_IF_ERROR(mkdir(built));
-    } else if (!n->is_dir) {
-      return error(Errc::not_a_directory, built);
+  Node* cur = root_.get();
+  std::string_view comp;
+  for (PathCursor cursor(path); cursor.next(&comp);) {
+    auto it = cur->children.find(comp);
+    if (it == cur->children.end()) {
+      auto node = std::make_unique<Node>();
+      node->is_dir = true;
+      it = cur->children.emplace(std::string(comp), std::move(node)).first;
+    } else if (!it->second->is_dir) {
+      // The prefix of `path` that names the file.
+      return error(Errc::not_a_directory,
+                   std::string(path.substr(0, comp.data() + comp.size() - path.data())));
     }
+    cur = it->second.get();
   }
   return Status::Ok();
 }

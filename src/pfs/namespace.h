@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -34,6 +35,9 @@ class Namespace {
   Result<CreateResult> create_file(std::string_view path, bool excl);
 
   Result<Entry> lookup(std::string_view path) const;
+  // lookup() for callers that only branch on a miss (open's create path):
+  // a missing path is nullopt, and no error message is built.
+  std::optional<Entry> probe(std::string_view path) const;
   Status mkdir(std::string_view path);
   // mkdir -p semantics; never fails on existing directories.
   Status mkdir_all(std::string_view path);

@@ -257,9 +257,8 @@ void SimPfs::schedule_server_faults(const FaultPlan& plan) {
 }
 
 std::size_t SimPfs::mds_of_path(std::string_view path) const {
-  const auto comps = path_components(path);
-  if (comps.empty()) return 0;
-  const std::string_view top = comps.front();
+  std::string_view top;
+  if (!PathCursor(path).next(&top)) return 0;
   // Volumes named volK model separately mounted file systems: they map to
   // metadata servers round-robin, so K volumes on a K-MDS system are
   // guaranteed disjoint (like PanFS realms). Anything else hashes.
@@ -384,6 +383,7 @@ sim::Task<Result<MetaApply>> SimPfs::batch_submit(IoCtx ctx, std::size_t g, Meta
   if (!slot) {
     slot = std::make_shared<PendingBatch>(engine());
     slot->ctx = ctx;
+    slot->batch.cmds.reserve(config_.mds_batch);  // one allocation, no regrowth
     // Linger flush: a partial batch never waits longer than the linger
     // bound for stragglers. The captured pointer distinguishes this batch
     // from successors, so a size-triggered flush makes the timer a no-op.
@@ -430,6 +430,9 @@ sim::Task<void> SimPfs::run_batch(std::size_t g, std::shared_ptr<PendingBatch> p
     // commit-wait, N applied mutations with per-entry outcomes.
     std::uint64_t bytes = 32;
     for (const MetaCommand& mc : pending->batch.cmds) bytes += command_bytes(mc);
+    // The group's log holds the batch until compaction: drop the slack
+    // reserved for a full batch, or the log keeps mds_batch slots per entry.
+    pending->batch.cmds.shrink_to_fit();
     auto results = co_await raft_submit(pending->ctx, g, std::move(pending->batch), bytes);
     if (!results.ok()) {
       bc().failures.add();
@@ -474,17 +477,17 @@ sim::Task<Result<FileId>> SimPfs::open(IoCtx ctx, std::string path, OpenFlags fl
   if (!flags.read && !flags.write) {
     co_return error(Errc::invalid, "open needs read or write: " + path);
   }
-  path = path_normalize(path);
+  path = path_normalize(std::move(path));
   const std::string parent(path_dirname(path));
   ++stats_.opens;
 
   ObjectId oid = kNoObject;
-  auto existing = ns_.lookup(path);
-  if (existing.ok() && existing->is_dir) {
+  const auto existing = ns_.probe(path);
+  if (existing && existing->is_dir) {
     TIO_CO_RETURN_IF_ERROR(co_await mds_op(ctx, parent, config_.mds_open_time));
     co_return error(Errc::is_a_directory, path);
   }
-  if (existing.ok()) {
+  if (existing) {
     if (flags.create && flags.excl) {
       TIO_CO_RETURN_IF_ERROR(co_await mds_op(ctx, parent, config_.mds_open_time));
       co_return error(Errc::exists, path);
@@ -697,7 +700,7 @@ sim::Task<Result<FragmentList>> SimPfs::read(IoCtx ctx, FileId file, std::uint64
 // The namespace mutations: each builds one MetaCommand and takes mutate()'s
 // route; the apply result carries the namespace's answer.
 sim::Task<Status> SimPfs::mkdir(IoCtx ctx, std::string path) {
-  path = path_normalize(path);
+  path = path_normalize(std::move(path));
   const std::string parent(path_dirname(path));
   if (!ns_.exists(parent)) {
     TIO_CO_RETURN_IF_ERROR(co_await mds_op(ctx, parent, config_.mds_open_time));
@@ -709,27 +712,27 @@ sim::Task<Status> SimPfs::mkdir(IoCtx ctx, std::string path) {
 }
 
 sim::Task<Status> SimPfs::rmdir(IoCtx ctx, std::string path) {
-  MetaCommand cmd{.kind = MetaCommand::Kind::rmdir, .path = path_normalize(path)};
+  MetaCommand cmd{.kind = MetaCommand::Kind::rmdir, .path = path_normalize(std::move(path))};
   TIO_CO_ASSIGN_OR_RETURN(MetaApply applied, co_await mutate(ctx, std::move(cmd)));
   co_return applied.status;
 }
 
 sim::Task<Status> SimPfs::unlink(IoCtx ctx, std::string path) {
-  MetaCommand cmd{.kind = MetaCommand::Kind::unlink, .path = path_normalize(path)};
+  MetaCommand cmd{.kind = MetaCommand::Kind::unlink, .path = path_normalize(std::move(path))};
   TIO_CO_ASSIGN_OR_RETURN(MetaApply applied, co_await mutate(ctx, std::move(cmd)));
   co_return applied.status;
 }
 
 sim::Task<Status> SimPfs::rename(IoCtx ctx, std::string from, std::string to) {
   MetaCommand cmd{.kind = MetaCommand::Kind::rename,
-                  .path = path_normalize(from),
-                  .path2 = path_normalize(to)};
+                  .path = path_normalize(std::move(from)),
+                  .path2 = path_normalize(std::move(to))};
   TIO_CO_ASSIGN_OR_RETURN(MetaApply applied, co_await mutate(ctx, std::move(cmd)));
   co_return applied.status;
 }
 
 sim::Task<Result<StatInfo>> SimPfs::stat(IoCtx ctx, std::string path) {
-  path = path_normalize(path);
+  path = path_normalize(std::move(path));
   MetaCache::Entry lease;
   if (cache_lookup(ctx, path, &lease)) {
     // Lease hit: attributes served from the client cache, no MDS round
@@ -764,7 +767,7 @@ sim::Task<Result<StatInfo>> SimPfs::stat(IoCtx ctx, std::string path) {
 }
 
 sim::Task<Result<std::vector<DirEntry>>> SimPfs::readdir(IoCtx ctx, std::string path) {
-  path = path_normalize(path);
+  path = path_normalize(std::move(path));
   auto entries = ns_.readdir(path);
   const std::size_t n = entries.ok() ? entries->size() : 0;
   TIO_CO_RETURN_IF_ERROR(co_await mds_op(ctx, path, config_.mds_open_time +

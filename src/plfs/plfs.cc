@@ -284,7 +284,8 @@ sim::Task<Status> Plfs::ensure_container_skeleton(pfs::IoCtx ctx, const Containe
   const std::size_t canonical = layout.canonical_backend();
   if (parent_logical != "/") {
     std::string built = mount_.backends[canonical];
-    for (const auto comp : path_components(parent_logical)) {
+    std::string_view comp;  // views parent_logical, which outlives the co_awaits
+    for (PathCursor cursor(parent_logical); cursor.next(&comp);) {
       built = path_join(built, comp);
       TIO_CO_RETURN_IF_ERROR(co_await ensure_dir(ctx, built));
     }
@@ -306,7 +307,8 @@ sim::Task<Status> Plfs::ensure_subdir_on(pfs::IoCtx ctx, const ContainerLayout& 
     const std::string parent_logical(path_dirname(lay.logical()));
     if (parent_logical != "/") {
       std::string built = mount_.backends[backend];
-      for (const auto comp : path_components(parent_logical)) {
+      std::string_view comp;  // views parent_logical, which outlives the co_awaits
+      for (PathCursor cursor(parent_logical); cursor.next(&comp);) {
         built = path_join(built, comp);
         TIO_CO_RETURN_IF_ERROR(co_await ensure_dir(ctx, built));
       }

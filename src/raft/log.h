@@ -20,7 +20,9 @@ using Index = std::uint64_t;
 
 struct LogEntry {
   Term term = 0;
-  std::any cmd;             // empty any = leader no-op barrier entry
+  // Held once, shared and immutable: every leader attempt of one client
+  // submit appends the same command object. Null = leader no-op barrier.
+  std::shared_ptr<const std::any> cmd;
   std::uint64_t bytes = 0;  // simulated serialized size on the wire
   std::int64_t append_ns = -1;  // leader-side append time (replication span)
 };

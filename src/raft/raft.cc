@@ -415,7 +415,7 @@ void Group::become_leader(std::size_t r) {
   n.append_pending.assign(config_.replicas, 0);
   // No-op barrier entry: lets entries from previous terms commit promptly
   // without waiting for client traffic (Raft §5.4.2).
-  append_leader_entry(r, std::any(), 16);
+  append_leader_entry(r, nullptr, 16);
   broadcast_appends(r);
   advance_commit(r);  // single-replica groups commit immediately
   arm_heartbeat(r);
@@ -436,7 +436,8 @@ void Group::step_down(std::size_t r, Term t) {
   if (running_ && !n.down) arm_election(r);
 }
 
-Index Group::append_leader_entry(std::size_t r, std::any cmd, std::uint64_t bytes) {
+Index Group::append_leader_entry(std::size_t r, std::shared_ptr<const std::any> cmd,
+                                 std::uint64_t bytes) {
   Node& n = *nodes_[r];
   auto e = std::make_shared<LogEntry>();
   e->term = n.term;
@@ -500,7 +501,7 @@ void Group::advance_commit(std::size_t r) {
       for (Index k = n.commit + 1; k <= i; ++k) {
         rc().commits.add();
         const auto& e = n.log.at(k);
-        if (e->cmd.has_value() && e->append_ns >= 0) {
+        if (e->cmd && e->append_ns >= 0) {
           trace::record_span(engine_, replication_site(), -1, e->append_ns);
         }
       }
@@ -529,15 +530,15 @@ sim::Task<void> Group::apply_drain(std::size_t r) {
     }
     const Index idx = n.applied + 1;
     auto entry = n.log.at(idx);  // keep alive across compaction
-    if (idx > group_applied_ && entry->cmd.has_value() && n.role == Node::Role::leader) {
+    if (idx > group_applied_ && entry->cmd && n.role == Node::Role::leader) {
       // Queue + service at this replica's MDS before the mutation lands.
-      co_await n.server->serve(sm_.apply_service(entry->cmd));
+      co_await n.server->serve(sm_.apply_service(*entry->cmd));
       if (n.down) break;  // crashed while in service
     }
     if (idx > group_applied_) {
       group_applied_ = idx;
-      if (entry->cmd.has_value()) {
-        group_results_.emplace(idx, std::make_shared<const std::any>(sm_.apply(idx, entry->cmd)));
+      if (entry->cmd) {
+        group_results_.emplace(idx, std::make_shared<const std::any>(sm_.apply(idx, *entry->cmd)));
         rc().applies.add();
       }
     }
@@ -675,6 +676,8 @@ sim::Task<Result<std::shared_ptr<const std::any>>> Group::submit(std::size_t cli
   rc().submits.add();
   const std::int64_t start_ns = engine_.now().to_ns();
   bool degraded = false;
+  // Owned once: a retried attempt re-appends this object, not a copy.
+  const auto shared_cmd = std::make_shared<const std::any>(std::move(cmd));
 
   for (int attempt = 0; attempt < config_.max_attempts; ++attempt) {
     const std::size_t target = leader_hint_ >= 0
@@ -707,7 +710,7 @@ sim::Task<Result<std::shared_ptr<const std::any>>> Group::submit(std::size_t cli
     }
 
     // Leader: append, replicate eagerly, ack after commit + apply.
-    const Index idx = append_leader_entry(target, cmd, bytes);
+    const Index idx = append_leader_entry(target, shared_cmd, bytes);
     auto state = std::make_shared<ReplyState>(engine_);
     t.waiters.emplace(idx, state);
     broadcast_appends(target);

@@ -154,7 +154,8 @@ class Group {
   sim::Task<void> apply_drain(std::size_t r);
   void maybe_compact(std::size_t r);
   void fail_waiters(Node& n);
-  Index append_leader_entry(std::size_t r, std::any cmd, std::uint64_t bytes);
+  Index append_leader_entry(std::size_t r, std::shared_ptr<const std::any> cmd,
+                            std::uint64_t bytes);
 
   // Park/unpark lifecycle.
   void begin_activity();

@@ -49,13 +49,6 @@ TEST(PathNormalize, Cases) {
   EXPECT_EQ(path_normalize("/./a/./b"), "/a/b");
 }
 
-TEST(PathComponents, Cases) {
-  EXPECT_EQ(path_components("/a/b/c"),
-            (std::vector<std::string_view>{"a", "b", "c"}));
-  EXPECT_TRUE(path_components("/").empty());
-  EXPECT_TRUE(path_components("").empty());
-}
-
 TEST(FormatBytes, Scales) {
   EXPECT_EQ(format_bytes(512), "512 B");
   EXPECT_EQ(format_bytes(50ull << 20), "50.0 MiB");

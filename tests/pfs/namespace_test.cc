@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace tio::pfs {
 namespace {
 
@@ -45,6 +47,57 @@ TEST(Namespace, MkdirAllThroughFileFails) {
   Namespace ns;
   ASSERT_TRUE(ns.create_file("/f", true).ok());
   EXPECT_EQ(ns.mkdir_all("/f/sub").code(), Errc::not_a_directory);
+}
+
+// The error vocabulary the metadata path surfaces to PLFS: codes and
+// messages for a missing component, a file mid-path, the root's parent and
+// "." components.
+TEST(Namespace, ErrorCodesAndMessages) {
+  Namespace ns;
+  ASSERT_TRUE(ns.mkdir("/a").ok());
+  ASSERT_TRUE(ns.create_file("/a/f", true).ok());
+
+  const Status missing = ns.create_file("/a/nope/x", true).status();
+  EXPECT_EQ(missing.code(), Errc::not_found);
+  EXPECT_EQ(missing.message(), "missing path component: nope");
+
+  // The file is the leaf's parent: the whole path is named.
+  const Status leaf_under_file = ns.mkdir("/a/f/x");
+  EXPECT_EQ(leaf_under_file.code(), Errc::not_a_directory);
+  EXPECT_EQ(leaf_under_file.message(), "/a/f/x");
+  // The file is deeper in the chain: the component looked up in it is named.
+  const Status through_file = ns.unlink("/a/f/x/y").status();
+  EXPECT_EQ(through_file.code(), Errc::not_a_directory);
+  EXPECT_EQ(through_file.message(), "x");
+
+  for (const char* root : {"/", "", "//", "/./"}) {
+    const Status st = ns.mkdir(root);
+    EXPECT_EQ(st.code(), Errc::invalid) << root;
+    EXPECT_EQ(st.message(), std::string("root has no parent: ") + root);
+  }
+
+  // "." components are skipped, like empty ones.
+  ASSERT_TRUE(ns.create_file("/./a/./g", true).ok());
+  EXPECT_TRUE(ns.exists("/a/g"));
+  auto dot_dir = ns.lookup("/a/.");
+  ASSERT_TRUE(dot_dir.ok());
+  EXPECT_TRUE(dot_dir->is_dir);
+  EXPECT_EQ(ns.create_file("/a//g", true).status().code(), Errc::exists);
+  EXPECT_EQ(ns.lookup("/a/missing").status().message(), "/a/missing");
+}
+
+TEST(Namespace, MkdirAllNamesTheFilePrefix) {
+  Namespace ns;
+  ASSERT_TRUE(ns.mkdir_all("/x/y").ok());
+  ASSERT_TRUE(ns.create_file("/x/y/f", true).ok());
+  const Status st = ns.mkdir_all("/x/y/f/z/w");
+  EXPECT_EQ(st.code(), Errc::not_a_directory);
+  EXPECT_EQ(st.message(), "/x/y/f");
+  EXPECT_FALSE(ns.exists("/x/y/f/z"));
+  EXPECT_EQ(ns.mkdir_all("/x/y/f").message(), "/x/y/f");
+  ASSERT_TRUE(ns.mkdir_all("/x/new/deeper").ok());
+  EXPECT_TRUE(ns.lookup("/x/new/deeper")->is_dir);
+  EXPECT_TRUE(ns.mkdir_all("/").ok());
 }
 
 TEST(Namespace, CreateFileAllocatesDistinctObjectIds) {

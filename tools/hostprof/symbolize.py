@@ -1,17 +1,32 @@
 #!/usr/bin/env python3
-"""Turns a pcsample profile into per-function sample tables.
+"""Turns a pcsample or mallocsites profile into per-function sample tables.
 
     python3 tools/hostprof/symbolize.py PROFILE [--top N]
 
-PROFILE is what pcsample.so writes (see README.md). Each sampled PC is
-mapped to its module and module-relative address, then resolved with
-`addr2line -f -C -i`, which reports the chain of functions inlined at that
-address. After the samples per module, two tables are printed:
+PROFILE is what pcsample.so or mallocsites.so writes (see README.md); the
+header line says which. Each sampled PC is mapped to its module and
+module-relative address, then resolved with `addr2line -f -C -i`, which
+reports the chain of functions inlined at that address.
+
+For a pcsample profile, after the samples per module, two tables are
+printed:
 
   self      the innermost function at the PC (after inlining), i.e. the
             source-level function whose code was running;
   symbol    the outermost function of the chain, i.e. the symbol that
             holds the machine code (what a non-inlining profiler shows).
+
+For a mallocsites profile, each sample is one call stack of a malloc; two
+tables are printed:
+
+  site      the first frame with code of the program's own (not the
+            allocator, this sampler or inlined std:: code), as its inline
+            chain innermost first, with the outermost library call it
+            allocates through (a string copy, a vector growth);
+  inclusive every own function anywhere on the sampled stacks, counted
+            once per stack: the share of mallocs made under it.
+
+Names are shown without parameter lists or template arguments.
 
 In a module without a symbol table (.symtab), addr2line can only name the
 nearest preceding exported (dynamic) symbol; such names are marked
@@ -27,7 +42,8 @@ HEX = set("0123456789abcdef")
 
 
 def parse(path):
-    maps, pcs = [], []
+    """(header, mappings, [(pc, count)], [(count, [pc, ...])])."""
+    maps, pcs, stacks = [], [], []
     header = ""
     with open(path) as f:
         for line in f:
@@ -39,7 +55,10 @@ def parse(path):
             elif line.startswith("P "):
                 _, pc, count = line.split()
                 pcs.append((int(pc, 16), int(count)))
-    return header, maps, pcs
+            elif line.startswith("S "):
+                _, count, *frames = line.split()
+                stacks.append((int(count), [int(pc, 16) for pc in frames]))
+    return header, maps, pcs, stacks
 
 
 def module_of(maps, pc):
@@ -87,13 +106,107 @@ def resolve(module, addrs):
     return chains
 
 
+ALLOCATOR_MODULES = ("mallocsites.so", "libc.so", "libstdc++.so")
+LIBRARY_PREFIXES = ("std::", "__gnu_cxx::", "operator new", "operator delete", "malloc",
+                    "_M_", "__")
+# addr2line names inlined frames by their unqualified DWARF name, so the
+# standard containers' internals also show up bare.
+LIBRARY_NAMES = {"allocate", "deallocate", "construct", "push_back", "emplace_back", "insert",
+                 "emplace", "reserve", "resize", "basic_string", "operator[]", "_Construct",
+                 "_Auto_node", "_Scoped_node", "any"}
+
+
+def print_table(title, table, total, top):
+    print(f"\n== {title}: {total} samples")
+    for name, count in table.most_common(top):
+        print(f"{100.0 * count / total:6.2f}%  {count:8d}  {name}")
+
+
+def short_name(fn):
+    """Drops parameter lists and template arguments from a demangled name:
+    "void std::vector<int>::push_back(int const&)" -> "std::vector::push_back"."""
+    fn = fn.replace("(anonymous namespace)", "{anon}").replace("operator()", "operator@")
+    out, depth = [], 0
+    for c in fn:
+        if c in "(<":
+            depth += 1
+        elif c in ")>":
+            depth = max(0, depth - 1)
+        elif depth == 0:
+            out.append(c)
+    words = "".join(out).replace("operator@", "operator()").split()
+    # A leading return type ("void std::...", "tio::DataView& std::...") is
+    # not part of the name.
+    if len(words) > 1 and "::" in words[1] and ("::" not in words[0] or
+                                                 words[0].endswith(("&", "*"))):
+        words = words[1:]
+    return " ".join(words)
+
+
+def is_library(name):
+    return name.startswith(LIBRARY_PREFIXES) or name in LIBRARY_NAMES
+
+
+def report_sites(header, maps, stacks, top):
+    """Tables for a mallocsites profile: allocating site and inclusive."""
+    total = sum(c for c, _ in stacks)
+    if total == 0:
+        print(f"{header}\nno samples")
+        return 1
+    # Frames past the first are return addresses: step back into the call
+    # instruction so the inline chain is the caller's, not the next line's.
+    framed = []
+    by_module = collections.defaultdict(set)
+    for count, frames in stacks:
+        resolved = []
+        for i, pc in enumerate(frames):
+            module, addr = module_of(maps, pc if i == 0 else pc - 1)
+            by_module[module].add(addr)
+            resolved.append((module, addr))
+        framed.append((count, resolved))
+    chains = {m: resolve(m, sorted(addrs)) for m, addrs in by_module.items()}
+
+    site_t = collections.Counter()
+    inclusive_t = collections.Counter()
+    for count, resolved in framed:
+        site, via = None, None
+        seen = set()
+        for module, addr in resolved:
+            if module.rsplit("/", 1)[-1].startswith(ALLOCATOR_MODULES):
+                continue
+            names = [short_name(fn) for fn in chains[module][addr]]
+            own = [n for n in names if not is_library(n)]
+            if site is None:
+                lib = [n for n in names if is_library(n)]
+                if lib:
+                    via = lib[-1]  # the outermost library call below the site
+                if own:
+                    site = " < ".join(own) + (f"  via {via}" if via else "")
+            for name in own:
+                if name not in seen:
+                    seen.add(name)
+                    inclusive_t[name] += count
+        site_t[site or "(library code only)"] += count
+
+    print(header)
+    if " dropped=0" not in header:
+        print("(samples were dropped: raise MALLOCSITES_EVERY for a whole-run table)")
+    print_table("site (first own frame: its inline chain innermost first, and the library "
+                "call it allocates through)", site_t, total, top)
+    print_table("inclusive (every own function on the stack, once per stack)", inclusive_t,
+                total, top)
+    return 0
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("profile")
     ap.add_argument("--top", type=int, default=40)
     args = ap.parse_args()
 
-    header, maps, pcs = parse(args.profile)
+    header, maps, pcs, stacks = parse(args.profile)
+    if header.startswith("# mallocsites"):
+        return report_sites(header, maps, stacks, args.top)
     total = sum(c for _, c in pcs)
     if total == 0:
         print(f"{header}\nno samples")
@@ -118,9 +231,7 @@ def main():
     print(header)
     for title, table in (("modules", module_t), ("self (innermost inlined function)", self_t),
                          ("symbol (outermost function)", symbol_t)):
-        print(f"\n== {title}: {total} samples")
-        for name, count in table.most_common(args.top):
-            print(f"{100.0 * count / total:6.2f}%  {count:8d}  {name}")
+        print_table(title, table, total, args.top)
     return 0
 
 
